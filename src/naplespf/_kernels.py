@@ -1,13 +1,15 @@
 """Hot numeric kernels for the exhaustive sweeps.
 
-Each kernel is written in nopython-compatible style and compiled with numba's
-``@njit`` when available.  Setting ``NAPLESPF_DISABLE_NUMBA=1`` (or numba
-being absent) selects the uncompiled pure-Python path; both paths run the
-same code and produce bit-identical results.  ``benchmarks/bench_sweep.py``
-compares the two.
+Counting (:func:`count_range`) is numpy code over blocks of ranks and runs
+the same on every backend.  The witness subset search, the monotone-window
+check and the bitmask parking kernels they share are written in
+nopython-compatible style and compiled with numba's ``@njit`` when numba is
+installed.  Setting ``NAPLESPF_DISABLE_NUMBA=1`` (or numba being absent)
+runs them uncompiled; both paths produce bit-identical results.
 
 Street occupancy lives in an int64 bitmask, so these kernels are limited to
-n <= 62 spots; the sweep drivers cap n far below that anyway.
+n <= 62 spots; :func:`count_range` raises ``ValueError`` beyond that, and the
+sweep drivers cap n far below it anyway.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ try:
     import numba
 
     _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
+except ImportError:  # numba is an optional extra
     numba = None
     _HAVE_NUMBA = False
 
@@ -111,7 +113,12 @@ def bitmask_all_park(prefs, windows, n_spots):
     return True
 
 
-@maybe_njit
+#: Ranks per block in count_range; each shard thread holds one block.
+BLOCK = 2048
+#: Largest n whose spots 1..n fit in an int64 occupancy bitmask.
+MAX_BITMASK_N = 62
+
+
 def count_range(n, k, start, stop, counts):
     """Accumulate predicate counts over odometer ranks [start, stop) of [n]^n.
 
@@ -119,56 +126,57 @@ def count_range(n, k, start, stop, counts):
     digits of r in base n, most significant first, each plus one.  ``counts``
     must be an int64 array of length N_PREDICATES and is added to in place,
     so disjoint ranges can be summed in any order.
+
+    The ranks are processed in blocks of :data:`BLOCK` with numpy, one row
+    per car and one column per preference.  Raises ``ValueError`` when n is
+    outside 1..62, the spots an int64 occupancy bitmask can hold.
     """
-    prefs = np.empty(n, np.int64)
-    r = start
-    for i in range(n - 1, -1, -1):
-        prefs[i] = r % n + 1
-        r //= n
-    m = np.zeros(n + 1, np.int64)
-    for _rank in range(start, stop):
+    if not 1 <= n <= MAX_BITMASK_N:
+        raise ValueError(f"need 1 <= n <= {MAX_BITMASK_N}, got n={n}")
+    spots = (1 << (n + 1)) - 2  # bits 1..n
+    for lo in range(start, stop, BLOCK):
+        size = min(BLOCK, stop - lo)
+        # Odometer digits of lo + offset, one row per car, last car fastest.
+        prefs = np.empty((n, size), np.int8)
+        carry = np.arange(size, dtype=np.int64)
+        r = lo
+        for i in range(n - 1, -1, -1):
+            carry += r % n
+            r //= n
+            prefs[i] = carry % n + 1
+            carry //= n
+        # u_j = (j - 1) - #{cars preferring a spot < j}, one position at a time.
+        # int8 holds every |u_j| and run length, since n <= 62.
+        u = np.zeros(size, np.int8)
+        max_u = np.zeros(size, np.int8)
+        min_tail_u = np.full(size, 1 if n >= 2 else 0, np.int8)  # min over 2..n
+        run = np.zeros(size, np.int8)
+        max_run = np.zeros(size, np.int8)  # longest run of critical positions
         for j in range(1, n + 1):
-            m[j] = 0
+            np.maximum(max_u, u, out=max_u)
+            if j >= 2:
+                np.minimum(min_tail_u, u, out=min_tail_u)
+            run = np.where(u >= 1, run + 1, 0)
+            np.maximum(max_run, run, out=max_run)
+            u += 1 - (prefs == j).sum(axis=0, dtype=np.int8)
+        # Park the whole block: one bitmask of free spots per preference.
+        free = np.full(size, spots, np.int64)
+        parked = np.ones(size, bool)
         for i in range(n):
-            m[prefs[i]] += 1
-        seen = 0
-        max_u = 0
-        run = 0
-        max_run = 0
-        tail_ok = True  # u >= 1 on every position 2..n
-        for j in range(1, n + 1):
-            u = j - 1 - seen
-            seen += m[j]
-            if u > max_u:
-                max_u = u
-            if j >= 2 and u < 1:
-                tail_ok = False
-            if u >= 1:
-                run += 1
-                if run > max_run:
-                    max_run = run
-            else:
-                run = 0
-        is_pf = max_u <= 0
-        is_complete = n >= 2 and tail_ok
-        parked = bitmask_all_park_uniform(prefs, k, n)
-        if is_pf:
-            counts[IDX_PARKING_FUNCTION] += 1
-        if parked:
-            counts[IDX_K_NAPLES] += 1
-        if is_complete:
-            counts[IDX_COMPLETE] += 1
-        if is_complete and parked:
-            counts[IDX_COMPLETE_K_NAPLES] += 1
-        if max_run <= k:
-            counts[IDX_PERM_INVARIANT] += 1
-        j = n - 1
-        while j >= 0:
-            prefs[j] += 1
-            if prefs[j] <= n:
-                break
-            prefs[j] = 1
-            j -= 1
+            bit = np.left_shift(1, prefs[i], dtype=np.int64)
+            spot = bit & free
+            for t in range(1, min(k, n - 1) + 1):
+                spot = np.where(spot == 0, (bit >> t) & free, spot)
+            ahead = free & -(bit << 1)
+            spot = np.where(spot == 0, ahead & -ahead, spot)  # lowest free spot ahead
+            parked &= spot != 0
+            free ^= spot
+        is_complete = min_tail_u >= 1
+        counts[IDX_PARKING_FUNCTION] += np.count_nonzero(max_u <= 0)
+        counts[IDX_K_NAPLES] += np.count_nonzero(parked)
+        counts[IDX_COMPLETE] += np.count_nonzero(is_complete)
+        counts[IDX_COMPLETE_K_NAPLES] += np.count_nonzero(is_complete & parked)
+        counts[IDX_PERM_INVARIANT] += np.count_nonzero(max_run <= k)
 
 
 @maybe_njit

@@ -329,41 +329,37 @@ def count(
         ]
     except (ParkingError, ValueError) as exc:
         raise click.UsageError(str(exc)) from exc
+    class_counts = [
+        count_perm_invariant_fast(rep.n, rep.k, by_class=True) if classes else None
+        for rep in reports
+    ]
+    if fmt == "json":
+        doc = []
+        for rep, n_classes in zip(reports, class_counts):
+            counts = dict(rep.counts)
+            if classes:
+                counts["perm_invariant_classes"] = n_classes
+            doc.append(
+                {
+                    "n": rep.n,
+                    "k": rep.k,
+                    "total": rep.total,
+                    "shards": rep.shards,
+                    "elapsed_ms": round(rep.elapsed * 1000.0, 3),
+                    "counts": counts,
+                }
+            )
+        _echo_doc({"reports": doc}, output)
+        return
     rows = []
-    for rep in reports:
+    for rep, n_classes in zip(reports, class_counts):
         elapsed_ms = round(rep.elapsed * 1000.0, 3)
         for name in names:
             rows.append((rep.n, rep.k, name, rep.counts[name], rep.total, elapsed_ms))
         if classes:
             rows.append(
-                (
-                    rep.n,
-                    rep.k,
-                    "perm_invariant_classes",
-                    count_perm_invariant_fast(rep.n, rep.k, by_class=True),
-                    rep.total,
-                    elapsed_ms,
-                )
+                (rep.n, rep.k, "perm_invariant_classes", n_classes, rep.total, elapsed_ms)
             )
-    if fmt == "json":
-        doc = [
-            {
-                "n": rep.n,
-                "k": rep.k,
-                "total": rep.total,
-                "shards": rep.shards,
-                "elapsed_ms": round(rep.elapsed * 1000.0, 3),
-                "counts": dict(rep.counts),
-            }
-            for rep in reports
-        ]
-        if classes:
-            for entry in doc:
-                entry["counts"]["perm_invariant_classes"] = count_perm_invariant_fast(
-                    entry["n"], entry["k"], by_class=True
-                )
-        _echo_doc({"reports": doc}, output)
-        return
     lines = ["n,k,predicate,count,total,elapsed_ms"]
     lines += [",".join(str(v) for v in row) for row in rows]
     text = "\n".join(lines)

@@ -105,8 +105,9 @@ def sweep(
     """Count predicate hits over all n^n preferences under window k.
 
     ``shards`` splits the rank space into contiguous ranges handed to a
-    thread pool (the compiled kernels release the GIL); the counts are
-    identical for any shard count.  With ``verify`` the registered
+    thread pool; the counts are identical for any shard count.  Counting is
+    numpy code on every backend (numba, when installed, compiles only the
+    witness search and the monotone-window check).  With ``verify`` the registered
     invariants are also checked for this (n, k) and a
     :class:`~naplespf.errors.VerificationFailed` carries the first
     counterexample.

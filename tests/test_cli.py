@@ -207,6 +207,39 @@ class TestCount:
         assert report["counts"]["k_naples"] == 24
         assert "perm_invariant_classes" in report["counts"]
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_classes_counted_once_per_report(self, runner, monkeypatch, fmt):
+        import naplespf.cli as cli_module
+
+        calls = []
+        real = cli_module.count_perm_invariant_fast
+
+        def counting(n, k, by_class=False):
+            calls.append((n, k))
+            return real(n, k, by_class=by_class)
+
+        monkeypatch.setattr(cli_module, "count_perm_invariant_fast", counting)
+        args = ["count", "-n", "3", "--k-max", "3", "--classes", "--format", fmt]
+        assert runner.invoke(main, args).exit_code == 0
+        assert calls == [(3, k) for k in range(4)]
+
+    def test_classes_agree_between_csv_and_json(self, runner):
+        args = ["count", "-n", "4", "--k-max", "4", "--classes"]
+        csv_rows = [
+            line.split(",") for line in runner.invoke(main, args).output.splitlines()
+        ]
+        from_csv = {
+            int(row[1]): int(row[3])
+            for row in csv_rows[1:]
+            if row[2] == "perm_invariant_classes"
+        }
+        doc = json.loads(runner.invoke(main, args + ["--format", "json"]).output)
+        from_json = {
+            rep["k"]: rep["counts"]["perm_invariant_classes"] for rep in doc["reports"]
+        }
+        assert from_csv == from_json
+        assert sorted(from_csv) == [0, 1, 2, 3, 4]
+
     def test_output_file(self, runner, tmp_path):
         target = tmp_path / "out.csv"
         result = runner.invoke(

@@ -38,6 +38,67 @@ def reference_counts(n, k):
     return out
 
 
+def loop_count_range(n, k, start, stop, counts):
+    """Per-rank loop version of ``_kernels.count_range``: the reference."""
+    prefs = np.empty(n, np.int64)
+    r = start
+    for i in range(n - 1, -1, -1):
+        prefs[i] = r % n + 1
+        r //= n
+    m = np.zeros(n + 1, np.int64)
+    for _rank in range(start, stop):
+        for j in range(1, n + 1):
+            m[j] = 0
+        for i in range(n):
+            m[prefs[i]] += 1
+        seen = 0
+        max_u = 0
+        run = 0
+        max_run = 0
+        tail_ok = True  # u >= 1 on every position 2..n
+        for j in range(1, n + 1):
+            u = j - 1 - seen
+            seen += m[j]
+            if u > max_u:
+                max_u = u
+            if j >= 2 and u < 1:
+                tail_ok = False
+            if u >= 1:
+                run += 1
+                if run > max_run:
+                    max_run = run
+            else:
+                run = 0
+        is_pf = max_u <= 0
+        is_complete = n >= 2 and tail_ok
+        parked = _kernels.bitmask_all_park_uniform(prefs, k, n)
+        if is_pf:
+            counts[_kernels.IDX_PARKING_FUNCTION] += 1
+        if parked:
+            counts[_kernels.IDX_K_NAPLES] += 1
+        if is_complete:
+            counts[_kernels.IDX_COMPLETE] += 1
+        if is_complete and parked:
+            counts[_kernels.IDX_COMPLETE_K_NAPLES] += 1
+        if max_run <= k:
+            counts[_kernels.IDX_PERM_INVARIANT] += 1
+        j = n - 1
+        while j >= 0:
+            prefs[j] += 1
+            if prefs[j] <= n:
+                break
+            prefs[j] = 1
+            j -= 1
+
+
+def engine_and_loop(n, k, start, stop):
+    got = np.zeros(_kernels.N_PREDICATES, np.int64)
+    _kernels.count_range(n, k, start, stop, got)
+    want = np.zeros(_kernels.N_PREDICATES, np.int64)
+    loop_count_range(n, k, start, stop, want)
+    return list(got), list(want)
+
+
 class TestCountRange:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_public_api(self, n):
@@ -45,6 +106,27 @@ class TestCountRange:
             got = np.zeros(_kernels.N_PREDICATES, np.int64)
             _kernels.count_range(n, k, 0, n**n, got)
             assert list(got) == reference_counts(n, k)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_matches_loop_reference(self, n):
+        for k in range(n + 1):
+            got, want = engine_and_loop(n, k, 0, n**n)
+            assert got == want, (n, k)
+
+    @pytest.mark.parametrize(
+        "offset, length",
+        [
+            (0, 0),  # empty range
+            (12345, 0),
+            (777, 1),  # single rank
+            (_kernels.BLOCK // 2, _kernels.BLOCK + 3),  # mid-block, spans two
+            (6**6 - 5, 5),  # last ranks of [6]^6
+        ],
+    )
+    def test_unaligned_ranges_match_loop_reference(self, offset, length):
+        for k in (0, 2, 6):
+            got, want = engine_and_loop(6, k, offset, offset + length)
+            assert got == want, (k, offset, length)
 
     def test_partial_ranges_compose(self):
         n, k = 4, 1
@@ -56,6 +138,26 @@ class TestCountRange:
         for lo, hi in zip(cuts, cuts[1:]):
             _kernels.count_range(n, k, lo, hi, pieces)
         assert list(pieces) == list(whole)
+
+    @pytest.mark.parametrize("n", [0, -1, _kernels.MAX_BITMASK_N + 1])
+    def test_rejects_n_beyond_bitmask(self, n):
+        out = np.zeros(_kernels.N_PREDICATES, np.int64)
+        with pytest.raises(ValueError, match="n <= 62"):
+            _kernels.count_range(n, 1, 0, 1, out)
+        assert not out.any()
+
+    def test_largest_bitmask_n(self):
+        # Ranks of [62]^62 exceed int64; the engine decodes them exactly.
+        n = _kernels.MAX_BITMASK_N
+        first = 0
+        for i in range(n):  # the preference (1, 2, ..., 62)
+            first = first * n + i
+        last = n**n - 1  # the preference (62, ..., 62)
+        for k in (0, n):
+            got, want = engine_and_loop(n, k, first, first + 1)
+            assert got == want == [1, 1, 0, 0, 1], k
+            got, want = engine_and_loop(n, k, last - 2, last + 1)
+            assert got == want, k
 
 
 class TestParkKernels:

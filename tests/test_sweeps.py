@@ -24,6 +24,10 @@ class TestCounting:
         assert sweep(1, 0).counts["parking_function"] == 1
         assert sweep(2, 1).counts["k_naples"] == 4
 
+    def test_published_n7_window2_count(self):
+        # The README's example: 627405 of the 7^7 preferences park with k = 2.
+        assert sweep(7, 2).counts["k_naples"] == 627405
+
     def test_window_one_failures(self):
         report = sweep(3, 1)
         assert report.counts["k_naples"] == 24
