@@ -4,7 +4,9 @@ Counting (:func:`count_range`) is numpy code over blocks of ranks and runs
 the same on every backend.  The witness subset search, the monotone-window
 check and the bitmask parking kernels they share are written in
 nopython-compatible style and compiled with numba's ``@njit`` when numba is
-installed.  Setting ``NAPLESPF_DISABLE_NUMBA=1`` (or numba being absent)
+installed.  The subset search is exponential in n and serves only as the
+oracle that the sweep checks ``find_witness``'s polynomial extraction
+against; no production path calls it.  Setting ``NAPLESPF_DISABLE_NUMBA=1`` (or numba being absent)
 runs them uncompiled; both paths produce bit-identical results.
 
 Street occupancy lives in an int64 bitmask, so these kernels are limited to

@@ -3,19 +3,24 @@
 A preference parks under the k-Naples rule exactly when every maximal
 critical interval [p, q] admits a witness: a set J of cars, all preferring
 spots in [p, p-2+|J|], whose restriction shifted down by p-2 is a complete
-preference that itself parks under the rule.  For preferences that do park,
-the witness can be extracted constructively from the parking process; for
-those that do not, an exhaustive subset search settles existence.
+preference that itself parks under the rule.  One polynomial extraction from
+a local parking process finds a witness or proves there is none, for every
+preference; the exhaustive subset search is used only by
+:func:`enumerate_witnesses` and as a test oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import _kernels
 from .classify import is_complete, is_k_naples
 from .core import ParkingPreference, excess, restrict_shift
-from .errors import NotMaximalInterval, PreconditionFailed, SizeLimitExceeded
+from .errors import (
+    NotMaximalInterval,
+    PreconditionFailed,
+    SizeLimitExceeded,
+    VerificationFailed,
+)
 from .simulator import park_cars
 
 __all__ = [
@@ -31,7 +36,7 @@ __all__ = [
     "verify_summary_theorem",
 ]
 
-# Exhaustive subset search scans up to 2^n masks.
+# Witness enumeration scans up to 2^n subsets.
 _SUBSET_SEARCH_CAP = 12
 
 
@@ -83,67 +88,19 @@ def check_certificate(
     return is_complete(sr) and is_k_naples(sr, k)
 
 
-def _constructive_witness(
-    pref: ParkingPreference, k: int, interval: tuple[int, int]
-) -> WitnessCertificate:
-    """Extract a witness from the parking process of a member preference.
-
-    Reduces to the cars preferring a spot >= p-1 (none prefer p-1 itself),
-    parks them as a standalone preference, and takes the cars that fill the
-    initial segment [1, M] where M is the first position closed off by its
-    own traffic: all spots in [1, M] held by cars preferring spots in [1, M].
-    """
-    p, q = interval
-    hat = [i for i in range(1, pref.n + 1) if pref.prefs[i - 1] >= p - 1]
-    beta = [pref.prefs[i - 1] - (p - 2) for i in hat]
-    spots = park_cars(beta, k, len(beta))
-    assert all(s is not None for s in spots)  # restriction of a member parks
-    pref_at = {s: a for a, s in zip(beta, spots)}
-    running_max = 0
-    m_cut = 0
-    for spot in range(1, len(beta) + 1):
-        running_max = max(running_max, pref_at[spot])
-        if running_max <= spot:
-            m_cut = spot
-            break
-    assert m_cut >= q - p + 2
-    indices = tuple(
-        orig for orig, s in zip(hat, spots) if s is not None and s <= m_cut
-    )
-    cert = WitnessCertificate(
-        (p, q), indices, restrict_shift(pref, indices, p - 2)
-    )
-    assert check_certificate(pref, k, cert)
-    return cert
-
-
-def _mask_to_indices(mask: int) -> tuple[int, ...]:
-    return tuple(i + 1 for i in range(mask.bit_length()) if (mask >> i) & 1)
-
-
-def _exhaustive_witness(
-    pref: ParkingPreference, k: int, interval: tuple[int, int]
-) -> WitnessCertificate | None:
-    if pref.n > _SUBSET_SEARCH_CAP:
-        raise SizeLimitExceeded(
-            f"exhaustive witness search is capped at n <= {_SUBSET_SEARCH_CAP}"
-        )
-    p, q = interval
-    mask = _kernels.witness_search_mask(pref.as_array(), k, p, q)
-    if mask == 0:
-        return None
-    indices = _mask_to_indices(int(mask))
-    return WitnessCertificate((p, q), indices, restrict_shift(pref, indices, p - 2))
-
-
 def find_witness(
     pref: ParkingPreference, k: int, interval: tuple[int, int]
 ) -> WitnessCertificate | None:
     """Witness for one maximal critical interval, or None when none exists.
 
-    Member preferences yield the constructive witness read off the parking
-    process; otherwise an exhaustive subset search (sizes q-p+2 and up,
-    honouring the preference-range condition) decides existence.
+    Parks the cars preferring a spot >= p-1 (none prefer p-1 itself), shifted
+    down by p-2, as a standalone preference, and walks its spots from 1 to
+    the first M closed off by its own traffic: every spot in [1, M] is held
+    by a car preferring a spot in [1, M].  Those cars are the witness.  An
+    empty spot before that cut means spot p-1 stays empty in the process
+    restricted to the cars preferring spots >= p, so no witness exists.
+    This runs in O(n^2) for members and non-members alike; on members it
+    returns the certificate read off their parking process.
 
     >>> alpha = ParkingPreference((8, 4, 7, 1, 6, 8, 7, 5, 10, 1))
     >>> find_witness(alpha, 2, (4, 7)).indices
@@ -153,10 +110,31 @@ def find_witness(
     """
     if k < 1:
         raise ValueError(f"backward window must be >= 1, got {k}")
-    interval = _require_maximal_interval(pref, interval)
-    if is_k_naples(pref, k):
-        return _constructive_witness(pref, k, interval)
-    return _exhaustive_witness(pref, k, interval)
+    p, q = _require_maximal_interval(pref, interval)
+    hat = [i for i in range(1, pref.n + 1) if pref.prefs[i - 1] >= p - 1]
+    beta = [pref.prefs[i - 1] - (p - 2) for i in hat]
+    spots = park_cars(beta, k, len(beta))
+    pref_at = {s: a for a, s in zip(beta, spots) if s is not None}
+    # Every beta is at most len(beta), so the walk cuts at len(beta) at the
+    # latest once every spot is filled.
+    running_max = 0
+    for m_cut in range(1, len(beta) + 1):
+        if m_cut not in pref_at:
+            return None
+        running_max = max(running_max, pref_at[m_cut])
+        if running_max <= m_cut:
+            break
+    indices = tuple(
+        orig for orig, s in zip(hat, spots) if s is not None and s <= m_cut
+    )
+    cert = WitnessCertificate((p, q), indices, restrict_shift(pref, indices, p - 2))
+    if not check_certificate(pref, k, cert):
+        raise VerificationFailed(
+            f"extracted witness {indices} for {(p, q)} of {pref} fails "
+            f"check_certificate with window {k}",
+            cert,
+        )
+    return cert
 
 
 def enumerate_witnesses(
@@ -164,15 +142,15 @@ def enumerate_witnesses(
 ) -> list[WitnessCertificate]:
     """All witnesses for one interval, ordered by subset bitmask rank.
 
-    Runs the same subset scan as the exhaustive search but collects every
-    qualifying set instead of stopping at the first.
+    Scans every subset of the cars preferring a spot >= p, so it raises
+    :class:`~naplespf.errors.SizeLimitExceeded` above n = 12.
     """
     if k < 1:
         raise ValueError(f"backward window must be >= 1, got {k}")
     p, q = _require_maximal_interval(pref, interval)
     if pref.n > _SUBSET_SEARCH_CAP:
         raise SizeLimitExceeded(
-            f"exhaustive witness search is capped at n <= {_SUBSET_SEARCH_CAP}"
+            f"witness enumeration is capped at n <= {_SUBSET_SEARCH_CAP}"
         )
     pool = [i for i in range(1, pref.n + 1) if pref.prefs[i - 1] >= p]
     min_size = q - p + 2

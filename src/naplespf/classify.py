@@ -222,9 +222,14 @@ def minimal_naples_k(pref: ParkingPreference) -> int:
     """Smallest uniform backward window under which every car parks.
 
     Always at most n-1, since with a window of n-1 every car can reach every
-    spot on the street.
+    spot on the street.  Membership is monotone in k (every k-Naples
+    preference is (k+1)-Naples), so the window is found by bisection.
     """
-    for k in range(pref.n):
-        if is_k_naples(pref, k):
-            return k
-    raise AssertionError("unreachable: window n-1 always parks")
+    lo, hi = 0, pref.n - 1  # window hi always parks
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if is_k_naples(pref, mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo

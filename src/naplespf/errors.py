@@ -54,7 +54,7 @@ class UnknownProperty(ParkingError):
 
 
 class VerificationFailed(ParkingError):
-    """A sweep found a counterexample to a property that should always hold."""
+    """A check found a counterexample to a property that should always hold."""
 
     def __init__(self, message, counterexample=None):
         super().__init__(message)

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import _kernels
 from .characterize import (
+    _SUBSET_SEARCH_CAP,
     WitnessCertificate,
     check_certificate,
     find_witness,
@@ -401,8 +402,7 @@ def _prop_witness_size(pref: ParkingPreference, k: int) -> bool:
 
 
 def _prop_search_matches_extraction(pref: ParkingPreference, k: int) -> bool:
-    # on non-members find_witness already is the subset search
-    if not _outcome(pref, k).all_parked or pref.n > 12:
+    if pref.n > _SUBSET_SEARCH_CAP:
         return True
     arr = pref.as_array()
     for p, q in _profile(pref).intervals:

@@ -1,13 +1,20 @@
 import itertools
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
 from helpers import naive_park, preferences
+import naplespf
 from naplespf import (
     NotMaximalInterval,
     ParkingPreference,
     PreconditionFailed,
+    VerificationFailed,
     WitnessCertificate,
     check_certificate,
     enumerate_witnesses,
@@ -83,6 +90,13 @@ class TestFindWitness:
         cert = find_witness(ALPHA10, 2, (4, 7))
         assert check_certificate(ALPHA10, 2, cert)
 
+    def test_failed_recheck_raises_typed_error(self, monkeypatch):
+        monkeypatch.setattr(
+            naplespf.characterize, "check_certificate", lambda *a: False
+        )
+        with pytest.raises(VerificationFailed):
+            find_witness(ALPHA10, 2, (4, 7))
+
     def test_tampered_certificates_rejected(self):
         cert = find_witness(ALPHA10, 2, (4, 7))
         not_an_interval = WitnessCertificate(
@@ -105,7 +119,7 @@ class TestFindWitness:
 
     def test_search_and_extraction_agree_exhaustively(self):
         # same existence answer whether the preference parks or not
-        for n in range(2, 5):
+        for n in range(2, 6):
             for tup in itertools.product(range(1, n + 1), repeat=n):
                 pref = ParkingPreference(tup)
                 for k in range(1, n + 1):
@@ -116,6 +130,62 @@ class TestFindWitness:
                         if cert is not None:
                             assert check_certificate(pref, k, cert)
                             assert cert.indices in expected
+
+    @pytest.mark.parametrize("n", [13, 20])
+    def test_large_preferences(self, n):
+        # above the subset-search cap, the restricted process is the oracle
+        rng = random.Random(n)
+        seen = set()
+        for trial in range(12):
+            k = rng.randint(1, n - 1)
+            if trial % 2:
+                prefs = [rng.randint(1, n) for _ in range(n)]
+            else:  # skewed to the top spots, mostly non-members
+                prefs = [
+                    min(n, max(1, n - int(rng.expovariate(0.35)))) for _ in range(n)
+                ]
+            pref = ParkingPreference(tuple(prefs))
+            member = is_k_naples(pref, k)
+            for p, q in excess(pref).intervals:
+                cert = find_witness(pref, k, (p, q))
+                assert (cert is None) == (
+                    not restricted_spot_before_occupied(pref, k, p)
+                )
+                if cert is not None:
+                    assert check_certificate(pref, k, cert)
+                seen.add((member, cert is not None))
+        assert seen == {(True, True), (False, True), (False, False)}
+
+    def test_same_certificates_under_python_O(self):
+        cases = [
+            (ALPHA10, 2),
+            (ParkingPreference((2, 3, 3)), 1),
+            # non-member: a witness on [3, 3], none on [6, 13]
+            (ParkingPreference((11, 1, 13, 8, 6, 4, 3, 12, 10, 3, 11, 13, 7)), 1),
+        ]
+        # the same script runs here and in a fresh interpreter under -O
+        code = (
+            "import sys\n"
+            "from naplespf import ParkingPreference, excess, find_witness\n"
+            "out = []\n"
+            f"for prefs, k in {[(pref.prefs, k) for pref, k in cases]!r}:\n"
+            "    pref = ParkingPreference(prefs)\n"
+            "    for iv in excess(pref).intervals:\n"
+            "        c = find_witness(pref, k, iv)\n"
+            "        out.append(c and (c.indices, c.shifted_restriction.prefs))\n"
+        )
+        here = {}
+        exec(code, here)
+        assert None in here["out"] and any(here["out"])
+        src = str(Path(naplespf.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code + "print(sys.flags.optimize, out)"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+            check=True,
+        )
+        assert proc.stdout == f"1 {here['out']}\n"
 
 
 class TestMainTheorem:

@@ -226,6 +226,13 @@ class TestMinimalWindow:
         assert minimal_naples_k(ParkingPreference((2, 3, 3))) == 2
         assert minimal_naples_k(ParkingPreference((3, 3, 3))) == 2
 
+    def test_bisection_matches_linear_scan(self):
+        for n in range(1, 7):
+            for tup in itertools.product(range(1, n + 1), repeat=n):
+                pref = ParkingPreference(tup)
+                linear = next(k for k in range(n) if is_k_naples(pref, k))
+                assert minimal_naples_k(pref) == linear
+
     @given(preferences(max_n=6))
     @settings(max_examples=100)
     def test_is_minimal(self, pref):

@@ -153,6 +153,17 @@ class TestWitness:
         result = runner.invoke(main, ["witness", "-p", "2,3,3", "-k", "0"])
         assert result.exit_code == 2
 
+    def test_no_size_cap(self, runner):
+        thirteen = ",".join(["13"] * 13)
+        result = runner.invoke(main, ["witness", "-p", thirteen, "-k", "1"])
+        assert result.exit_code == 0
+        assert "interval [2,13]: FAIL no witness" in result.output
+        # enumerating every witness is a 2^n scan, capped at n <= 12
+        result = runner.invoke(
+            main, ["witness", "-p", thirteen, "-k", "1", "--all"]
+        )
+        assert result.exit_code == 2
+
 
 class TestDecompose:
     def test_text_output(self, runner):
