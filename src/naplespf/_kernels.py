@@ -1,17 +1,21 @@
 """Hot numeric kernels for the exhaustive sweeps.
 
-Counting (:func:`count_range`) is numpy code over blocks of ranks and runs
-the same on every backend.  The witness subset search, the monotone-window
-check and the bitmask parking kernels they share are written in
+Counting (:func:`count_range`) and the monotone-window check
+(:func:`monotone_window_violation`) are numpy code over blocks of ranks and
+run the same on every backend; both park a block with :func:`park_block`,
+under one window for every car or a window per car.  The witness subset
+search and the uniform bitmask parking kernel it calls are written in
 nopython-compatible style and compiled with numba's ``@njit`` when numba is
 installed.  The subset search is exponential in n and serves only as the
 oracle that the sweep checks ``find_witness``'s polynomial extraction
-against; no production path calls it.  Setting ``NAPLESPF_DISABLE_NUMBA=1`` (or numba being absent)
-runs them uncompiled; both paths produce bit-identical results.
+against; no production path calls it.  Setting ``NAPLESPF_DISABLE_NUMBA=1``
+(or numba being absent) runs them uncompiled; both paths produce
+bit-identical results.
 
 Street occupancy lives in an int64 bitmask, so these kernels are limited to
-n <= 62 spots; :func:`count_range` raises ``ValueError`` beyond that, and the
-sweep drivers cap n far below it anyway.
+n <= 62 spots; :func:`count_range` and :func:`monotone_window_violation`
+raise ``ValueError`` beyond that, and the sweep drivers cap n far below it
+anyway.
 """
 
 from __future__ import annotations
@@ -86,39 +90,62 @@ def bitmask_all_park_uniform(prefs, k, n_spots):
     return True
 
 
-@maybe_njit
-def bitmask_all_park(prefs, windows, n_spots):
-    """Per-car-window variant of :func:`bitmask_all_park_uniform`."""
-    occ = 0
-    for i in range(prefs.shape[0]):
-        a = prefs[i]
-        k = windows[i]
-        s = 0
-        if (occ >> a) & 1 == 0:
-            s = a
-        else:
-            lo = a - k
-            if lo < 1:
-                lo = 1
-            for t in range(a - 1, lo - 1, -1):
-                if (occ >> t) & 1 == 0:
-                    s = t
-                    break
-            if s == 0:
-                for t in range(a + 1, n_spots + 1):
-                    if (occ >> t) & 1 == 0:
-                        s = t
-                        break
-        if s == 0:
-            return False
-        occ |= 1 << s
-    return True
-
-
-#: Ranks per block in count_range; each shard thread holds one block.
+#: Ranks per block in count_range and monotone_window_violation; each
+#: shard thread holds one block.
 BLOCK = 2048
 #: Largest n whose spots 1..n fit in an int64 occupancy bitmask.
 MAX_BITMASK_N = 62
+
+
+def _digits(lo, size, radices):
+    """Mixed-radix digits of ranks lo .. lo + size - 1, one row per digit.
+
+    The most significant digit comes first, so the last row runs fastest.
+    Carrying from ``lo`` keeps the decode exact for ranks past int64.
+    """
+    digits = np.empty((len(radices), size), np.int8)
+    carry = np.arange(size, dtype=np.int64)
+    r = lo
+    for i in range(len(radices) - 1, -1, -1):
+        radix = radices[i]
+        carry += r % radix
+        r //= radix
+        digits[i] = carry % radix
+        carry //= radix
+    return digits
+
+
+def park_block(prefs, windows):
+    """Which columns of an (n, B) block of preferences park every car.
+
+    ``windows`` is one window k for every car, or an (n, B) array of
+    per-car windows.  Each column keeps one int64 bitmask of free spots: a
+    car takes its preferred spot, else the nearest free spot at most its
+    window behind, probed as ``(bit >> t) & free`` for t = 1, 2, ..., else
+    the lowest free spot ahead, ``f & -f``.
+    """
+    n, size = prefs.shape
+    free = np.full(size, (1 << (n + 1)) - 2, np.int64)  # bits 1..n
+    parked = np.ones(size, bool)
+    per_car = np.ndim(windows) == 2
+    for i in range(n):
+        bit = np.left_shift(1, prefs[i], dtype=np.int64)
+        spot = bit & free
+        if per_car:
+            w = windows[i]
+            # free spots at or above a - w; bit >> w is 0 once w >= a
+            back = free & -np.maximum(bit >> w, 1)
+            reach = int(w.max(initial=0))
+        else:
+            back = free
+            reach = windows
+        for t in range(1, min(reach, n - 1) + 1):
+            spot = np.where(spot == 0, (bit >> t) & back, spot)
+        ahead = free & -(bit << 1)
+        spot = np.where(spot == 0, ahead & -ahead, spot)  # lowest free spot ahead
+        parked &= spot != 0
+        free ^= spot
+    return parked
 
 
 def count_range(n, k, start, stop, counts):
@@ -135,18 +162,10 @@ def count_range(n, k, start, stop, counts):
     """
     if not 1 <= n <= MAX_BITMASK_N:
         raise ValueError(f"need 1 <= n <= {MAX_BITMASK_N}, got n={n}")
-    spots = (1 << (n + 1)) - 2  # bits 1..n
     for lo in range(start, stop, BLOCK):
         size = min(BLOCK, stop - lo)
-        # Odometer digits of lo + offset, one row per car, last car fastest.
-        prefs = np.empty((n, size), np.int8)
-        carry = np.arange(size, dtype=np.int64)
-        r = lo
-        for i in range(n - 1, -1, -1):
-            carry += r % n
-            r //= n
-            prefs[i] = carry % n + 1
-            carry //= n
+        # One row per car, last car fastest.
+        prefs = _digits(lo, size, (n,) * n) + 1
         # u_j = (j - 1) - #{cars preferring a spot < j}, one position at a time.
         # int8 holds every |u_j| and run length, since n <= 62.
         u = np.zeros(size, np.int8)
@@ -161,18 +180,7 @@ def count_range(n, k, start, stop, counts):
             run = np.where(u >= 1, run + 1, 0)
             np.maximum(max_run, run, out=max_run)
             u += 1 - (prefs == j).sum(axis=0, dtype=np.int8)
-        # Park the whole block: one bitmask of free spots per preference.
-        free = np.full(size, spots, np.int64)
-        parked = np.ones(size, bool)
-        for i in range(n):
-            bit = np.left_shift(1, prefs[i], dtype=np.int64)
-            spot = bit & free
-            for t in range(1, min(k, n - 1) + 1):
-                spot = np.where(spot == 0, (bit >> t) & free, spot)
-            ahead = free & -(bit << 1)
-            spot = np.where(spot == 0, ahead & -ahead, spot)  # lowest free spot ahead
-            parked &= spot != 0
-            free ^= spot
+        parked = park_block(prefs, k)
         is_complete = min_tail_u >= 1
         counts[IDX_PARKING_FUNCTION] += np.count_nonzero(max_u <= 0)
         counts[IDX_K_NAPLES] += np.count_nonzero(parked)
@@ -251,42 +259,33 @@ def witness_search_mask(prefs, k, p, q):
     return 0
 
 
-@maybe_njit
 def monotone_window_violation(n):
     """Search [n]^n x all window vectors for a monotonicity violation.
 
-    For every preference and every window vector under which all cars park,
-    bumping a single car's window by one must keep everyone parked.  Returns
-    an encoded (pref_rank * W + window_rank) * n + car_index on violation,
-    -1 when none exists.  Exhaustive, so only sensible for small n.
+    For every preference and every window vector in [0, n]^n under which all
+    cars park, bumping a single car's window by one must keep everyone
+    parked.  Rows are ranks pref_rank * W + window_rank, W = (n + 1)^n, both
+    in odometer order, visited in blocks of :data:`BLOCK`.  Returns the
+    first (pref_rank * W + window_rank) * n + car_index that breaks this,
+    -1 when none does.  Exhaustive, so only sensible for small n.
     """
-    total_p = n**n
-    radix_w = n + 1
-    total_w = radix_w**n
-    prefs = np.empty(n, np.int64)
-    win = np.empty(n, np.int64)
-    for i in range(n):
-        prefs[i] = 1
-    for pr in range(total_p):
-        for wr in range(total_w):
-            r = wr
-            for i in range(n - 1, -1, -1):
-                win[i] = r % radix_w
-                r //= radix_w
-            if bitmask_all_park(prefs, win, n):
-                for c in range(n):
-                    win[c] += 1
-                    parked = bitmask_all_park(prefs, win, n)
-                    win[c] -= 1
-                    if not parked:
-                        return (pr * total_w + wr) * n + c
-        j = n - 1
-        while j >= 0:
-            prefs[j] += 1
-            if prefs[j] <= n:
-                break
-            prefs[j] = 1
-            j -= 1
+    if not 1 <= n <= MAX_BITMASK_N:
+        raise ValueError(f"need 1 <= n <= {MAX_BITMASK_N}, got n={n}")
+    radices = (n,) * n + (n + 1,) * n
+    total = n**n * (n + 1) ** n
+    for lo in range(0, total, BLOCK):
+        digits = _digits(lo, min(BLOCK, total - lo), radices)
+        prefs = digits[:n] + 1
+        windows = digits[n:]
+        base = park_block(prefs, windows)
+        broken = np.empty((n, base.size), bool)
+        for c in range(n):
+            windows[c] += 1
+            broken[c] = base & ~park_block(prefs, windows)
+            windows[c] -= 1
+        rows = np.flatnonzero(broken.any(axis=0))
+        if rows.size:
+            row = int(rows[0])
+            car = int(np.argmax(broken[:, row]))
+            return (lo + row) * n + car
     return -1
-
-

@@ -188,8 +188,8 @@ def shift(pref: ParkingPreference, w: int) -> ParkingPreference:
     Meaningful for ``0 <= w < min(prefs)``, so the result is again a valid
     preference of the same length.
 
-    >>> shift(ParkingPreference((4, 4)), 3).prefs
-    (1, 1)
+    >>> shift(ParkingPreference((4, 3, 4, 4)), 2).prefs
+    (2, 1, 2, 2)
     """
     w = int(w)
     if w < 0:

@@ -62,6 +62,7 @@ PREDICATES = (
 
 DEFAULT_MAX_N = 8
 HARD_MAX_N = 9  # 387 million preferences; allowed only behind allow_large
+MONOTONE_MAX_N = 5  # 24 million (preference, windows) rows, ~30 s on one core
 
 
 def iter_preferences(n: int) -> Iterator[tuple[int, ...]]:
@@ -108,7 +109,7 @@ def sweep(
     ``shards`` splits the rank space into contiguous ranges handed to a
     thread pool; the counts are identical for any shard count.  Counting is
     numpy code on every backend (numba, when installed, compiles only the
-    witness search and the monotone-window check).  With ``verify`` the registered
+    witness subset search).  With ``verify`` the registered
     invariants are also checked for this (n, k) and a
     :class:`~naplespf.errors.VerificationFailed` carries the first
     counterexample.
@@ -650,8 +651,14 @@ def find_monotone_window_violation(
 
     Covers every preference and every window vector for each n up to
     ``n_max``; single-step monotonicity extends to pointwise-larger window
-    vectors by chaining increments.
+    vectors by chaining increments.  Raises
+    :class:`~naplespf.errors.SizeLimitExceeded` above n_max = 5: n = 6
+    would visit 6^6 * 7^6, about 5.5e9 rows.
     """
+    if n_max > MONOTONE_MAX_N:
+        raise SizeLimitExceeded(
+            f"n_max={n_max} above the monotone-window cap {MONOTONE_MAX_N}"
+        )
     for n in range(1, n_max + 1):
         code = int(_kernels.monotone_window_violation(n))
         if code < 0:

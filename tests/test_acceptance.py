@@ -20,11 +20,8 @@ P = npf.ParkingPreference
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernels():
-    """Compile the numba kernels outside the timed sections."""
-    out = np.zeros(_kernels.N_PREDICATES, np.int64)
-    _kernels.count_range(2, 1, 0, 4, out)
+    """Compile the numba witness search outside the timed sections."""
     _kernels.witness_search_mask(np.array([2, 3, 3], np.int64), 1, 2, 3)
-    _kernels.monotone_window_violation(1)
 
 
 def test_criterion_1_worked_examples():

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from naplespf import (
@@ -11,11 +12,13 @@ from naplespf import (
     find_monotone_window_violation,
     is_k_naples,
     iter_preferences,
+    park,
     rank_to_pref,
     sweep,
     verify_sweep,
 )
-from naplespf.sweeps import PROPERTIES, TRUE_PROPERTIES
+from naplespf import _kernels
+from naplespf.sweeps import PROPERTIES, TRUE_PROPERTIES, MonotoneWindowViolation
 
 
 class TestCounting:
@@ -189,3 +192,45 @@ class TestVerifySweep:
 class TestMonotoneWindows:
     def test_no_violation_exhaustive(self):
         assert find_monotone_window_violation(4) is None
+
+    @pytest.mark.parametrize("block", [_kernels.BLOCK, 100])
+    def test_reports_planted_violation(self, monkeypatch, block):
+        # (3, 3, 1) parks under windows (0, 1, 0) and, truly, with car 2's
+        # or car 3's window raised by one; the planted parker says both
+        # bumped rows fail.  The only other row that bumps into one of them,
+        # (0, 0, 1), does not park, so the first violation is (0, 1, 0)
+        # with car 2, the first car that breaks it.
+        pref, windows, bumped = (3, 3, 1), (0, 1, 0), [(0, 2, 0), (0, 1, 1)]
+        for w in [windows, *bumped]:
+            assert park(ParkingPreference(pref), w).all_parked
+        assert not park(ParkingPreference(pref), (0, 0, 1)).all_parked
+        real_park_block = _kernels.park_block
+
+        def planted_park_block(prefs, wins):
+            parked = real_park_block(prefs, wins)
+            if np.ndim(wins) == 2 and prefs.shape[0] == 3:
+                rows = (prefs.T == pref).all(axis=1)
+                for w in bumped:
+                    parked[rows & (wins.T == w).all(axis=1)] = False
+            return parked
+
+        monkeypatch.setattr(_kernels, "park_block", planted_park_block)
+        monkeypatch.setattr(_kernels, "BLOCK", block)
+        violation = find_monotone_window_violation(4)
+        assert violation == MonotoneWindowViolation(
+            ParkingPreference(pref), windows, 2
+        )
+
+    def test_size_cap(self, monkeypatch):
+        searched = []
+
+        def no_violation(n):
+            searched.append(n)
+            return -1
+
+        monkeypatch.setattr(_kernels, "monotone_window_violation", no_violation)
+        assert find_monotone_window_violation(5) is None
+        assert searched == [1, 2, 3, 4, 5]
+        with pytest.raises(SizeLimitExceeded):
+            find_monotone_window_violation(6)
+        assert searched == [1, 2, 3, 4, 5]  # raised before any search
