@@ -16,6 +16,10 @@ Street occupancy lives in an int64 bitmask, so these kernels are limited to
 n <= 62 spots; :func:`count_range` and :func:`monotone_window_violation`
 raise ``ValueError`` beyond that, and the sweep drivers cap n far below it
 anyway.
+
+:mod:`naplespf.sweeps` imports this module, and with it numpy and numba
+(when installed), on the first counting or oracle call; ``import naplespf``
+and the single-preference commands load neither.
 """
 
 from __future__ import annotations

@@ -62,13 +62,25 @@ def _parse_windows(text: str, n: int) -> int | tuple[int, ...]:
     return tuple(values)
 
 
-def _echo_doc(doc: dict, output: str | None) -> None:
-    text = json.dumps(doc)
+def _write_text(text: str, output: str | None) -> None:
+    """Write ``text`` and a newline to the ``-o`` file, or echo it."""
     if output:
         with open(output, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text + "\n")
     else:
         click.echo(text)
+
+
+def _report_doc(rep) -> dict:
+    """The ``count``/``sweep`` JSON form of one :class:`CountReport`."""
+    return {
+        "n": rep.n,
+        "k": rep.k,
+        "total": rep.total,
+        "shards": rep.shards,
+        "elapsed_ms": round(rep.elapsed * 1000.0, 3),
+        "counts": dict(rep.counts),
+    }
 
 
 def _spots_text(spots) -> str:
@@ -329,45 +341,25 @@ def count(
         ]
     except (ParkingError, ValueError) as exc:
         raise click.UsageError(str(exc)) from exc
-    class_counts = [
-        count_perm_invariant_fast(rep.n, rep.k, by_class=True) if classes else None
-        for rep in reports
-    ]
+    docs = [_report_doc(rep) for rep in reports]
+    if classes:
+        names += ("perm_invariant_classes",)
+        for doc in docs:
+            doc["counts"]["perm_invariant_classes"] = count_perm_invariant_fast(
+                doc["n"], doc["k"], by_class=True
+            )
     if fmt == "json":
-        doc = []
-        for rep, n_classes in zip(reports, class_counts):
-            counts = dict(rep.counts)
-            if classes:
-                counts["perm_invariant_classes"] = n_classes
-            doc.append(
-                {
-                    "n": rep.n,
-                    "k": rep.k,
-                    "total": rep.total,
-                    "shards": rep.shards,
-                    "elapsed_ms": round(rep.elapsed * 1000.0, 3),
-                    "counts": counts,
-                }
-            )
-        _echo_doc({"reports": doc}, output)
-        return
-    rows = []
-    for rep, n_classes in zip(reports, class_counts):
-        elapsed_ms = round(rep.elapsed * 1000.0, 3)
-        for name in names:
-            rows.append((rep.n, rep.k, name, rep.counts[name], rep.total, elapsed_ms))
-        if classes:
-            rows.append(
-                (rep.n, rep.k, "perm_invariant_classes", n_classes, rep.total, elapsed_ms)
-            )
-    lines = ["n,k,predicate,count,total,elapsed_ms"]
-    lines += [",".join(str(v) for v in row) for row in rows]
-    text = "\n".join(lines)
-    if output:
-        with open(output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text + "\n")
+        text = json.dumps({"reports": docs})
     else:
-        click.echo(text)
+        lines = ["n,k,predicate,count,total,elapsed_ms"]
+        for doc in docs:
+            lines += [
+                f"{doc['n']},{doc['k']},{name},{doc['counts'][name]},"
+                f"{doc['total']},{doc['elapsed_ms']}"
+                for name in names
+            ]
+        text = "\n".join(lines)
+    _write_text(text, output)
 
 
 @main.command(name="sweep")
@@ -384,16 +376,7 @@ def sweep_cmd(n_max: int, k_max: int | None, verify: bool, as_json: bool) -> Non
         for n in range(1, n_max + 1):
             for k in range(0, min(k_max if k_max is not None else n, n) + 1):
                 rep = sweep(n, k)
-                doc.append(
-                    {
-                        "n": n,
-                        "k": k,
-                        "total": rep.total,
-                        "shards": rep.shards,
-                        "elapsed_ms": round(rep.elapsed * 1000.0, 3),
-                        "counts": dict(rep.counts),
-                    }
-                )
+                doc.append(_report_doc(rep))
                 if not as_json:
                     counts = " ".join(f"{name}={rep.counts[name]}" for name in rep.counts)
                     click.echo(f"n={n} k={k} total={rep.total} {counts}")

@@ -14,9 +14,7 @@ be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import (
     EmptyIndexSet,
@@ -24,6 +22,9 @@ from .errors import (
     NotZeroExcess,
     ShiftOutOfRange,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ParkingPreference",
@@ -87,6 +88,8 @@ class ParkingPreference:
         return ",".join(str(a) for a in self.prefs)
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.asarray(self.prefs, dtype=np.int64)
 
     def __len__(self) -> int:

@@ -2,12 +2,18 @@
 
 ``naive_park`` restates the parking rule as a single candidate list per car
 and is kept deliberately separate from the library implementation, so the
-two can vet each other.
+two can vet each other.  ``SRC`` is the directory that holds the package
+under test, for the ``PYTHONPATH`` of subprocess tests.
 """
+
+from pathlib import Path
 
 from hypothesis import strategies as st
 
+import naplespf
 from naplespf import ParkingPreference
+
+SRC = str(Path(naplespf.__file__).resolve().parents[1])
 
 
 def naive_park(prefs, windows, n_spots=None):

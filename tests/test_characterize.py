@@ -3,12 +3,11 @@ import os
 import random
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
-from helpers import naive_park, preferences
+from helpers import SRC, naive_park, preferences
 import naplespf
 from naplespf import (
     NotMaximalInterval,
@@ -177,12 +176,11 @@ class TestFindWitness:
         here = {}
         exec(code, here)
         assert None in here["out"] and any(here["out"])
-        src = str(Path(naplespf.__file__).resolve().parents[1])
         proc = subprocess.run(
             [sys.executable, "-O", "-c", code + "print(sys.flags.optimize, out)"],
             capture_output=True,
             text=True,
-            env=dict(os.environ, PYTHONPATH=src),
+            env=dict(os.environ, PYTHONPATH=SRC),
             check=True,
         )
         assert proc.stdout == f"1 {here['out']}\n"

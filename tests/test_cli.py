@@ -1,10 +1,16 @@
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import jsonschema
 import pytest
 from click.testing import CliRunner
 
+from helpers import SRC
 from naplespf.cli import main
 
 SCHEMA = json.loads(
@@ -259,6 +265,24 @@ class TestCount:
         assert result.exit_code == 0
         assert target.read_text().startswith("n,k,predicate")
 
+    def test_csv_file_matches_stdout(self, runner, monkeypatch, tmp_path):
+        import naplespf.cli as cli_module
+
+        real = cli_module.sweep
+
+        def fixed_elapsed(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), elapsed=0.0125)
+
+        monkeypatch.setattr(cli_module, "sweep", fixed_elapsed)
+        args = ["count", "-n", "3", "--k-max", "2", "--classes"]
+        echoed = runner.invoke(main, args)
+        target = tmp_path / "out.csv"
+        written = runner.invoke(main, args + ["-o", str(target)])
+        assert echoed.exit_code == written.exit_code == 0
+        assert written.stdout_bytes == b""
+        assert target.read_bytes() == echoed.stdout_bytes
+        assert echoed.stdout_bytes.endswith(b",12.5\n")
+
     def test_conflicting_window_options(self, runner):
         result = runner.invoke(main, ["count", "-n", "2", "-k", "1", "--k-max", "2"])
         assert result.exit_code == 2
@@ -292,6 +316,81 @@ class TestSweep:
         doc = json.loads(result.output)
         validate(doc, "sweep")
         assert doc["reports"][0]["n"] == 1
+
+
+_LAZY_MODULES = ("numpy", "naplespf._kernels", "concurrent.futures")
+
+# Runs ``import naplespf`` and then each command of argv[1] in turn in one
+# interpreter, recording which of _LAZY_MODULES are loaded after each step.
+_FRESH_SCRIPT = textwrap.dedent(
+    f"""
+    import json, sys
+    lazy = {_LAZY_MODULES!r}
+    import naplespf
+    steps = [{{"loaded": [m for m in lazy if m in sys.modules]}}]
+    from click.testing import CliRunner
+    from naplespf.cli import main
+    for args in json.loads(sys.argv[1]):
+        result = CliRunner().invoke(main, args)
+        steps.append({{
+            "exit": result.exit_code,
+            "output": result.output,
+            "loaded": [m for m in lazy if m in sys.modules],
+        }})
+    print(json.dumps(steps))
+    """
+)
+
+
+def _run_fresh(commands):
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_SCRIPT, json.dumps(commands)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def _without_elapsed(doc):
+    for rep in doc["reports"]:
+        del rep["elapsed_ms"]
+    return doc
+
+
+class TestLazyImports:
+    def test_single_preference_commands_skip_counting_modules(self, runner):
+        commands = [
+            ["park", "-p", "3,4,4,4,3", "-k", "3", "--trace", "--json"],
+            ["classify", "-p", "2,3,3", "-k", "1", "--json"],
+            ["witness", "-p", "2,3,3", "-k", "1", "--all", "--json"],
+            ["decompose", "-p", "1,1,3,3", "-j", "3", "--json"],
+            ["park", "-p", "1,x"],
+        ]
+        count = ["count", "-n", "4", "--k-max", "4", "--format", "json"]
+        steps = _run_fresh(commands + [count, count + ["--shards", "2"]])
+        assert [step["loaded"] for step in steps[:6]] == [[]] * 6
+        assert [step["exit"] for step in steps[1:]] == [0, 0, 0, 0, 2, 0, 0]
+        for args, step in zip(commands[:4], steps[1:5]):
+            assert step["output"] == runner.invoke(main, args).output
+        # counting loads numpy and the kernels; the thread pool only for shards
+        assert steps[6]["loaded"] == ["numpy", "naplespf._kernels"]
+        assert steps[7]["loaded"] == list(_LAZY_MODULES)
+        docs = [_without_elapsed(json.loads(step["output"])) for step in steps[6:]]
+        assert docs[0] == _without_elapsed(json.loads(runner.invoke(main, count).output))
+        assert docs[1]["reports"] == [
+            dict(rep, shards=2) for rep in docs[0]["reports"]
+        ]
+        assert [rep["counts"]["k_naples"] for rep in docs[0]["reports"]] == [
+            125, 203, 240, 256, 256,
+        ]
+
+    def test_verification_sweep_loads_kernels(self):
+        (_, step) = _run_fresh([["sweep", "--n-max", "3", "--verify", "--json"]])
+        assert step["exit"] == 0
+        assert json.loads(step["output"]) == {"verified": True, "counterexample": None}
+        assert step["loaded"] == ["numpy", "naplespf._kernels"]
 
 
 class TestRoundTrip:

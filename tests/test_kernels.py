@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from helpers import preferences
+from helpers import SRC, preferences
 from naplespf import _kernels
 from naplespf import (
     ParkingPreference,
@@ -345,7 +345,7 @@ class TestEnvFlagFallback:
             }))
             """
         )
-        env = dict(os.environ, NAPLESPF_DISABLE_NUMBA="1")
+        env = dict(os.environ, NAPLESPF_DISABLE_NUMBA="1", PYTHONPATH=SRC)
         proc = subprocess.run(
             [sys.executable, "-c", script],
             capture_output=True,

@@ -7,6 +7,7 @@ from naplespf import (
     ParkingPreference,
     SizeLimitExceeded,
     UnknownProperty,
+    VerificationFailed,
     count_perm_invariant_fast,
     find_counterexample,
     find_monotone_window_violation,
@@ -17,7 +18,7 @@ from naplespf import (
     sweep,
     verify_sweep,
 )
-from naplespf import _kernels
+from naplespf import _kernels, characterize, sweeps
 from naplespf.sweeps import PROPERTIES, TRUE_PROPERTIES, MonotoneWindowViolation
 
 
@@ -187,6 +188,14 @@ class TestVerifySweep:
     def test_finds_planted_counterexample(self):
         ce = verify_sweep(3, ks=(1,), properties=("excess_bound_is_sufficient",))
         assert ce is not None and ce.pref.prefs == (2, 3, 3)
+
+    def test_witness_size_bound_fails_on_failed_recheck(self, monkeypatch):
+        # the property leaves the certificate check to find_witness, which
+        # must still run it on every (uncached) witness
+        sweeps._witness.cache_clear()
+        monkeypatch.setattr(characterize, "check_certificate", lambda *a: False)
+        with pytest.raises(VerificationFailed):
+            verify_sweep(3, properties=["witness_size_bound"])
 
 
 class TestMonotoneWindows:
