@@ -1,61 +1,29 @@
-"""Hot numeric kernels for the exhaustive sweeps.
+"""Numpy block kernels for the exhaustive sweeps.
 
 Counting (:func:`count_range`) and the monotone-window check
-(:func:`monotone_window_violation`) are numpy code over blocks of ranks and
-run the same on every backend; both park a block with :func:`park_block`,
-under one window for every car or a window per car.  The witness subset
-search and the uniform bitmask parking kernel it calls are written in
-nopython-compatible style and compiled with numba's ``@njit`` when numba is
-installed.  The subset search is exponential in n and serves only as the
-oracle that the sweep checks ``find_witness``'s polynomial extraction
-against; no production path calls it.  Setting ``NAPLESPF_DISABLE_NUMBA=1``
-(or numba being absent) runs them uncompiled; both paths produce
-bit-identical results.
+(:func:`monotone_window_violation`) decode blocks of odometer ranks with
+:func:`_digits` and park each block with :func:`park_block`, under one window
+for every car or a window per car.  :func:`naplespf.simulator.park` is the
+scalar reference for the parking rule written here.
 
 Street occupancy lives in an int64 bitmask, so these kernels are limited to
 n <= 62 spots; :func:`count_range` and :func:`monotone_window_violation`
 raise ``ValueError`` beyond that, and the sweep drivers cap n far below it
 anyway.
 
-:mod:`naplespf.sweeps` imports this module, and with it numpy and numba
-(when installed), on the first counting or oracle call; ``import naplespf``
-and the single-preference commands load neither.
+:mod:`naplespf.sweeps` imports this module, and with it numpy, on the first
+counting call or monotone-window check; ``import naplespf``, the
+single-preference commands and :func:`naplespf.sweeps.verify_sweep` do not
+load it.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    import numba
-
-    _HAVE_NUMBA = True
-except ImportError:  # numba is an optional extra
-    numba = None
-    _HAVE_NUMBA = False
-
-
-def _disabled_by_env() -> bool:
-    return os.environ.get("NAPLESPF_DISABLE_NUMBA", "").strip().lower() in {
-        "1",
-        "true",
-        "yes",
-        "on",
-    }
-
-
-#: True when kernels below are numba-compiled in this process.
-USE_NUMBA = _HAVE_NUMBA and not _disabled_by_env()
-
-
-def maybe_njit(func):
-    """``numba.njit(cache=True, nogil=True)`` when enabled, identity otherwise."""
-    if USE_NUMBA:
-        return numba.njit(cache=True, nogil=True)(func)
-    return func
-
+#: Recorded by perfbench/jobs.py in every benchmark report; the kernels are
+#: numpy code and nothing in the package reads this.
+USE_NUMBA = False
 
 # Predicate slots in the counts array filled by count_range.
 IDX_PARKING_FUNCTION = 0
@@ -64,35 +32,6 @@ IDX_COMPLETE = 2
 IDX_COMPLETE_K_NAPLES = 3
 IDX_PERM_INVARIANT = 4
 N_PREDICATES = 5
-
-
-@maybe_njit
-def bitmask_all_park_uniform(prefs, k, n_spots):
-    """True when every car parks under the uniform k-Naples rule."""
-    occ = 0
-    for i in range(prefs.shape[0]):
-        a = prefs[i]
-        s = 0
-        if (occ >> a) & 1 == 0:
-            s = a
-        else:
-            lo = a - k
-            if lo < 1:
-                lo = 1
-            for t in range(a - 1, lo - 1, -1):
-                if (occ >> t) & 1 == 0:
-                    s = t
-                    break
-            if s == 0:
-                for t in range(a + 1, n_spots + 1):
-                    if (occ >> t) & 1 == 0:
-                        s = t
-                        break
-        if s == 0:
-            return False
-        occ |= 1 << s
-    return True
-
 
 #: Ranks per block in count_range and monotone_window_violation; each
 #: shard thread holds one block.
@@ -191,76 +130,6 @@ def count_range(n, k, start, stop, counts):
         counts[IDX_COMPLETE] += np.count_nonzero(is_complete)
         counts[IDX_COMPLETE_K_NAPLES] += np.count_nonzero(is_complete & parked)
         counts[IDX_PERM_INVARIANT] += np.count_nonzero(max_run <= k)
-
-
-@maybe_njit
-def witness_search_mask(prefs, k, p, q):
-    """Exhaustive witness search for the critical interval [p, q].
-
-    Scans subsets of the cars preferring a spot >= p, in increasing bitmask
-    order over that pool, and returns the first subset J (as a global car
-    bitmask, bit i-1 for car i) such that
-
-    * |J| >= q - p + 2,
-    * every chosen car prefers a spot in [p, p - 2 + |J|],
-    * the restriction shifted down by p - 2 is complete, and
-    * it parks fully under the uniform k-Naples rule.
-
-    Returns 0 when no subset qualifies.
-    """
-    n = prefs.shape[0]
-    pool = np.empty(n, np.int64)
-    pool_size = 0
-    for i in range(n):
-        if prefs[i] >= p:
-            pool[pool_size] = i
-            pool_size += 1
-    min_size = q - p + 2
-    m = np.zeros(n + 2, np.int64)
-    b = np.empty(n, np.int64)
-    for mask in range(1, 1 << pool_size):
-        h = 0
-        mm = mask
-        while mm:
-            h += mm & 1
-            mm >>= 1
-        if h < min_size:
-            continue
-        hi = p - 2 + h
-        ok = True
-        cnt = 0
-        for bit in range(pool_size):
-            if (mask >> bit) & 1:
-                a = prefs[pool[bit]]
-                if a > hi:
-                    ok = False
-                    break
-                b[cnt] = a - (p - 2)
-                cnt += 1
-        if not ok:
-            continue
-        for j in range(1, h + 1):
-            m[j] = 0
-        for t in range(h):
-            m[b[t]] += 1
-        seen = 0
-        complete = True
-        for j in range(1, h + 1):
-            u = j - 1 - seen
-            seen += m[j]
-            if j >= 2 and u < 1:
-                complete = False
-                break
-        if not complete:
-            continue
-        if not bitmask_all_park_uniform(b[:h], k, h):
-            continue
-        out = 0
-        for bit in range(pool_size):
-            if (mask >> bit) & 1:
-                out |= 1 << pool[bit]
-        return out
-    return 0
 
 
 def monotone_window_violation(n):

@@ -5,13 +5,15 @@ critical interval [p, q] admits a witness: a set J of cars, all preferring
 spots in [p, p-2+|J|], whose restriction shifted down by p-2 is a complete
 preference that itself parks under the rule.  One polynomial extraction from
 a local parking process finds a witness or proves there is none, for every
-preference; the exhaustive subset search is used only by
-:func:`enumerate_witnesses` and as a test oracle.
+preference.  The one exhaustive subset scan, :func:`_witness_subsets`, lists
+every witness for :func:`enumerate_witnesses` and is the oracle the
+verification sweep checks the extraction against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .classify import is_complete, is_k_naples
 from .core import ParkingPreference, excess, restrict_shift
@@ -137,6 +139,33 @@ def find_witness(
     return cert
 
 
+def _witness_subsets(
+    prefs: tuple[int, ...], k: int, p: int, q: int
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every witness for [p, q] as (indices, shifted restriction) pairs.
+
+    Scans the subsets of the cars preferring a spot >= p in increasing
+    bitmask order over that pool, bit b standing for the pool's b-th car.
+    """
+    pool = [(i, a - (p - 2)) for i, a in enumerate(prefs, start=1) if a >= p]
+    for mask in range(1, 1 << len(pool)):
+        h = mask.bit_count()
+        if h < q - p + 2:
+            continue
+        chosen = [car for b, car in enumerate(pool) if mask >> b & 1]
+        beta = tuple(a for _, a in chosen)  # each >= 2
+        if max(beta) > h:
+            continue
+        # complete: u(j) = j-1 - #{beta < j} >= 1 for j = 2..h, that is,
+        # the (j-1)-th smallest entry is >= j
+        ranked = sorted(beta)
+        if any(ranked[i] < i + 2 for i in range(h - 1)):
+            continue
+        if None in park_cars(beta, k, h):
+            continue
+        yield tuple(i for i, _ in chosen), beta
+
+
 def enumerate_witnesses(
     pref: ParkingPreference, k: int, interval: tuple[int, int]
 ) -> list[WitnessCertificate]:
@@ -152,28 +181,18 @@ def enumerate_witnesses(
         raise SizeLimitExceeded(
             f"witness enumeration is capped at n <= {_SUBSET_SEARCH_CAP}"
         )
-    pool = [i for i in range(1, pref.n + 1) if pref.prefs[i - 1] >= p]
-    min_size = q - p + 2
-    found = []
-    for mask in range(1, 1 << len(pool)):
-        chosen = [pool[b] for b in range(len(pool)) if (mask >> b) & 1]
-        h = len(chosen)
-        if h < min_size:
-            continue
-        if any(pref.prefs[i - 1] > p - 2 + h for i in chosen):
-            continue
-        sr = restrict_shift(pref, chosen, p - 2)
-        if not (is_complete(sr) and is_k_naples(sr, k)):
-            continue
-        found.append(WitnessCertificate((p, q), tuple(chosen), sr))
-    return found
+    return [
+        WitnessCertificate((p, q), indices, ParkingPreference(beta))
+        for indices, beta in _witness_subsets(pref.prefs, k, p, q)
+    ]
 
 
 def verify_main_theorem(pref: ParkingPreference, k: int) -> bool:
     """True when every maximal critical interval has a witness.
 
     This is equivalent to the preference parking under the uniform k-Naples
-    rule, which the function asserts.
+    rule; the function checks that and raises
+    :class:`~naplespf.errors.VerificationFailed` when the two disagree.
     """
     if k < 1:
         raise ValueError(f"backward window must be >= 1, got {k}")
@@ -181,7 +200,11 @@ def verify_main_theorem(pref: ParkingPreference, k: int) -> bool:
         find_witness(pref, k, interval) is not None
         for interval in excess(pref).intervals
     )
-    assert result == is_k_naples(pref, k)
+    if result != is_k_naples(pref, k):
+        raise VerificationFailed(
+            f"witnesses ({result}) and parking disagree on {pref} with window {k}",
+            (pref, k),
+        )
     return result
 
 
@@ -261,7 +284,9 @@ def verify_summary_theorem(pref: ParkingPreference, k: int) -> SummaryReport:
     spots >= p, spot p-1 fills; (b) a witness with at least q-p+2 cars
     exists.  The two agree on every interval, hold automatically when the
     interval has at most k positions, and the preference parks exactly when
-    every interval longer than k satisfies them.  All of this is asserted.
+    every interval longer than k satisfies them.  All of this is checked,
+    and :class:`~naplespf.errors.VerificationFailed` carries a report that
+    breaks it.
     """
     if k < 1:
         raise ValueError(f"backward window must be >= 1, got {k}")
@@ -277,5 +302,8 @@ def verify_summary_theorem(pref: ParkingPreference, k: int) -> SummaryReport:
             )
         )
     report = SummaryReport(k, is_k_naples(pref, k), tuple(conditions))
-    assert report.consistent
+    if not report.consistent:
+        raise VerificationFailed(
+            f"summary conditions inconsistent on {pref} with window {k}", report
+        )
     return report

@@ -96,6 +96,10 @@ def nonincreasing_sufficiency(pref: ParkingPreference, k: int) -> bool:
 def is_complete(pref: ParkingPreference) -> bool:
     """True when every position after the first is critical (excess >= 1).
 
+    The map a -> n+1-a takes the complete preferences of [n]^n onto Gessel's
+    prime parking functions, those b with #{i : b_i <= m} >= m+1 for
+    1 <= m < n, so there are (n-1)^(n-1) of them.
+
     >>> is_complete(ParkingPreference((5, 3, 3, 5, 4)))
     True
     >>> is_complete(ParkingPreference((5, 3, 3, 4, 4)))

@@ -14,7 +14,7 @@ be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     EmptyIndexSet,
@@ -22,9 +22,6 @@ from .errors import (
     NotZeroExcess,
     ShiftOutOfRange,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "ParkingPreference",
@@ -86,11 +83,6 @@ class ParkingPreference:
     def render(self) -> str:
         """Comma-separated text form; inverse of :meth:`parse`."""
         return ",".join(str(a) for a in self.prefs)
-
-    def as_array(self) -> np.ndarray:
-        import numpy as np
-
-        return np.asarray(self.prefs, dtype=np.int64)
 
     def __len__(self) -> int:
         return len(self.prefs)

@@ -9,9 +9,9 @@ Preferences are visited in odometer order (last entry fastest), sharded into
 contiguous rank ranges; counts are plain integer sums, so results do not
 depend on the shard count or execution order.
 
-numpy and :mod:`naplespf._kernels` load on the first counting or oracle
-call, not at import, so commands that only simulate or classify one
-preference never pay for them.
+numpy and :mod:`naplespf._kernels` load on the first counting call or
+monotone-window check, not at import, so commands that only simulate or
+classify one preference, and :func:`verify_sweep`, never pay for them.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .characterize import (
     _SUBSET_SEARCH_CAP,
     WitnessCertificate,
+    _witness_subsets,
     find_witness,
     restricted_spot_before_occupied,
 )
@@ -107,8 +108,7 @@ def sweep(
 
     ``shards`` splits the rank space into contiguous ranges handed to a
     thread pool; the counts are identical for any shard count.  Counting is
-    numpy code on every backend (numba, when installed, compiles only the
-    witness subset search).  With ``verify`` the registered
+    numpy code over blocks of ranks.  With ``verify`` the registered
     invariants are also checked for this (n, k) and a
     :class:`~naplespf.errors.VerificationFailed` carries the first
     counterexample.
@@ -411,11 +411,8 @@ def _prop_witness_size(pref: ParkingPreference, k: int) -> bool:
 def _prop_search_matches_extraction(pref: ParkingPreference, k: int) -> bool:
     if pref.n > _SUBSET_SEARCH_CAP:
         return True
-    from . import _kernels
-
-    arr = pref.as_array()
     for p, q in _profile(pref).intervals:
-        found = int(_kernels.witness_search_mask(arr, k, p, q)) != 0
+        found = next(_witness_subsets(pref.prefs, k, p, q), None) is not None
         if found != (_witness(pref, k, (p, q)) is not None):
             return False
     return True

@@ -7,21 +7,12 @@ exact; the only tolerances are the stated wall-clock budgets.
 
 import time
 
-import numpy as np
-import pytest
 from click.testing import CliRunner
 
 import naplespf as npf
-from naplespf import _kernels
 from naplespf.cli import main as cli_main
 
 P = npf.ParkingPreference
-
-
-@pytest.fixture(scope="module", autouse=True)
-def warm_kernels():
-    """Compile the numba witness search outside the timed sections."""
-    _kernels.witness_search_mask(np.array([2, 3, 3], np.int64), 1, 2, 3)
 
 
 def test_criterion_1_worked_examples():

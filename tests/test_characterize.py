@@ -162,20 +162,43 @@ class TestFindWitness:
             # non-member: a witness on [3, 3], none on [6, 13]
             (ParkingPreference((11, 1, 13, 8, 6, 4, 3, 12, 10, 3, 11, 13, 7)), 1),
         ]
-        # the same script runs here and in a fresh interpreter under -O
+        # the same script runs here and in a fresh interpreter under -O; the
+        # theorem checks run on the first two cases, then again with
+        # is_k_naples flipped on the checked preference, where they must raise
         code = (
             "import sys\n"
-            "from naplespf import ParkingPreference, excess, find_witness\n"
+            "import naplespf.characterize as ch\n"
+            "from naplespf import ParkingPreference, VerificationFailed, excess\n"
+            "from naplespf import find_witness\n"
+            "from naplespf import verify_main_theorem, verify_summary_theorem\n"
             "out = []\n"
             f"for prefs, k in {[(pref.prefs, k) for pref, k in cases]!r}:\n"
             "    pref = ParkingPreference(prefs)\n"
             "    for iv in excess(pref).intervals:\n"
             "        c = find_witness(pref, k, iv)\n"
             "        out.append(c and (c.indices, c.shifted_restriction.prefs))\n"
+            "real = ch.is_k_naples\n"
+            f"for prefs, k in {[(pref.prefs, k) for pref, k in cases[:2]]!r}:\n"
+            "    pref = ParkingPreference(prefs)\n"
+            "    r = verify_summary_theorem(pref, k)\n"
+            "    sat = [c.satisfied for c in r.intervals]\n"
+            "    out.append((verify_main_theorem(pref, k), r.k_naples, sat))\n"
+            "    ch.is_k_naples = lambda p, w: real(p, w) != (p == pref)\n"
+            "    try:\n"
+            "        for check in (verify_main_theorem, verify_summary_theorem):\n"
+            "            try:\n"
+            "                check(pref, k)\n"
+            "            except VerificationFailed:\n"
+            "                out.append('raised')\n"
+            "    finally:\n"
+            "        ch.is_k_naples = real\n"
         )
         here = {}
         exec(code, here)
         assert None in here["out"] and any(here["out"])
+        assert (True, True, [True]) in here["out"]
+        assert (False, False, [False]) in here["out"]
+        assert here["out"].count("raised") == 4
         proc = subprocess.run(
             [sys.executable, "-O", "-c", code + "print(sys.flags.optimize, out)"],
             capture_output=True,
@@ -195,6 +218,26 @@ class TestMainTheorem:
 
     def test_failing_preference(self):
         assert not verify_main_theorem(ParkingPreference((2, 3, 3)), 1)
+
+    @pytest.mark.parametrize(
+        "check", [verify_main_theorem, verify_summary_theorem]
+    )
+    @pytest.mark.parametrize(
+        "pref, k",
+        [(ALPHA10, 2), (ParkingPreference((2, 3, 3)), 1)],
+        ids=["alpha10", "233"],
+    )
+    def test_disagreement_raises_typed_error(self, monkeypatch, check, pref, k):
+        # flip membership of the checked preference only, so that witness
+        # certificates of its shifted restrictions still re-verify
+        real = naplespf.characterize.is_k_naples
+        monkeypatch.setattr(
+            naplespf.characterize,
+            "is_k_naples",
+            lambda p, w: real(p, w) != (p == pref),
+        )
+        with pytest.raises(VerificationFailed):
+            check(pref, k)
 
     @given(preferences(max_n=5))
     @settings(max_examples=150, deadline=None)

@@ -138,6 +138,22 @@ class TestComplete:
         with pytest.raises(TooShort):
             is_complete(ParkingPreference((1,)))
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_reversal_onto_prime_parking_functions(self, n):
+        # prime: #{i : b_i <= m} >= m + 1 for 1 <= m < n
+        prime = {
+            b
+            for b in itertools.product(range(1, n + 1), repeat=n)
+            if all(sum(x <= m for x in b) >= m + 1 for m in range(1, n))
+        }
+        reversed_complete = {
+            tuple(n + 1 - a for a in tup)
+            for tup in itertools.product(range(1, n + 1), repeat=n)
+            if is_complete(ParkingPreference(tup))
+        }
+        assert reversed_complete == prime
+        assert len(prime) == (n - 1) ** (n - 1)
+
 
 class TestCompleteEquivalences:
     def test_member_witness(self):

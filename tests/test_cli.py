@@ -386,6 +386,23 @@ class TestLazyImports:
             125, 203, 240, 256, 256,
         ]
 
+    def test_theorem_sweep_skips_counting_modules(self):
+        script = (
+            "import json, sys\n"
+            "from naplespf import verify_sweep\n"
+            "ce = verify_sweep(4)\n"
+            f"lazy = {_LAZY_MODULES!r}\n"
+            "print(json.dumps([ce is None, [m for m in lazy if m in sys.modules]]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=SRC),
+            check=True,
+        )
+        assert json.loads(proc.stdout) == [True, []]
+
     def test_verification_sweep_loads_kernels(self):
         (_, step) = _run_fresh([["sweep", "--n-max", "3", "--verify", "--json"]])
         assert step["exit"] == 0

@@ -1,18 +1,14 @@
 import itertools
-import json
-import os
-import subprocess
-import sys
-import textwrap
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from helpers import SRC, preferences
+from helpers import preferences
 from naplespf import _kernels
 from naplespf import (
     ParkingPreference,
+    WitnessCertificate,
     enumerate_witnesses,
     excess,
     is_complete,
@@ -21,6 +17,7 @@ from naplespf import (
     is_permutation_invariant,
     park,
     park_uniform,
+    restrict_shift,
 )
 
 
@@ -72,7 +69,7 @@ def loop_count_range(n, k, start, stop, counts):
                 run = 0
         is_pf = max_u <= 0
         is_complete = n >= 2 and tail_ok
-        parked = _kernels.bitmask_all_park_uniform(prefs, k, n)
+        parked = loop_all_park(prefs, np.full(n, k), n)
         if is_pf:
             counts[_kernels.IDX_PARKING_FUNCTION] += 1
         if parked:
@@ -118,6 +115,27 @@ def loop_all_park(prefs, windows, n_spots):
             return False
         occ |= 1 << s
     return True
+
+
+def loop_enumerate_witnesses(pref, k, interval):
+    """Subset-by-subset scan through the public API, the reference for
+    ``characterize.enumerate_witnesses``."""
+    p, q = interval
+    pool = [i for i in range(1, pref.n + 1) if pref.prefs[i - 1] >= p]
+    min_size = q - p + 2
+    found = []
+    for mask in range(1, 1 << len(pool)):
+        chosen = [pool[b] for b in range(len(pool)) if (mask >> b) & 1]
+        h = len(chosen)
+        if h < min_size:
+            continue
+        if any(pref.prefs[i - 1] > p - 2 + h for i in chosen):
+            continue
+        sr = restrict_shift(pref, chosen, p - 2)
+        if not (is_complete(sr) and is_k_naples(sr, k)):
+            continue
+        found.append(WitnessCertificate((p, q), tuple(chosen), sr))
+    return found
 
 
 def loop_monotone_window_violation(n, all_park=loop_all_park):
@@ -225,10 +243,10 @@ class TestParkKernels:
     @given(preferences(max_n=7))
     @settings(max_examples=200)
     def test_uniform_matches_simulator(self, pref):
-        arr = pref.as_array()
+        prefs = np.array(pref.prefs, np.int8)[:, None]
         for k in range(pref.n + 1):
             expected = park_uniform(pref, k).all_parked
-            assert bool(_kernels.bitmask_all_park_uniform(arr, k, pref.n)) == expected
+            assert bool(_kernels.park_block(prefs, k)[0]) == expected, k
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_windows_match_simulator_exhaustive(self, n):
@@ -308,56 +326,12 @@ class TestMonotoneWindowKernel:
 
 
 class TestWitnessSearch:
-    def test_matches_enumeration_order(self):
-        # the kernel returns the first subset in pool-bitmask order
-        for n in range(2, 5):
+    def test_matches_loop_reference(self):
+        # same indices, shifted restrictions and bitmask-rank order
+        for n in range(2, 6):
             for tup in itertools.product(range(1, n + 1), repeat=n):
                 pref = ParkingPreference(tup)
                 for k in range(1, n + 1):
-                    for p, q in excess(pref).intervals:
-                        mask = int(
-                            _kernels.witness_search_mask(pref.as_array(), k, p, q)
-                        )
-                        certs = enumerate_witnesses(pref, k, (p, q))
-                        if not certs:
-                            assert mask == 0
-                            continue
-                        first = {i - 1 for i in certs[0].indices}
-                        assert {i for i in range(n) if (mask >> i) & 1} == first
-
-
-class TestEnvFlagFallback:
-    def test_disable_numba_produces_same_counts(self):
-        script = textwrap.dedent(
-            """
-            import json
-            import numpy as np
-            from naplespf import _kernels
-
-            out = np.zeros(_kernels.N_PREDICATES, np.int64)
-            _kernels.count_range(4, 2, 0, 4**4, out)
-            mask = int(_kernels.witness_search_mask(
-                np.array([2, 3, 3], np.int64), 1, 2, 3))
-            print(json.dumps({
-                "use_numba": _kernels.USE_NUMBA,
-                "counts": [int(x) for x in out],
-                "mask": mask,
-            }))
-            """
-        )
-        env = dict(os.environ, NAPLESPF_DISABLE_NUMBA="1", PYTHONPATH=SRC)
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            env=env,
-            check=True,
-        )
-        got = json.loads(proc.stdout)
-        assert got["use_numba"] is False
-        expected = np.zeros(_kernels.N_PREDICATES, np.int64)
-        _kernels.count_range(4, 2, 0, 4**4, expected)
-        assert got["counts"] == [int(x) for x in expected]
-        assert got["mask"] == int(
-            _kernels.witness_search_mask(np.array([2, 3, 3], np.int64), 1, 2, 3)
-        )
+                    for iv in excess(pref).intervals:
+                        got = enumerate_witnesses(pref, k, iv)
+                        assert got == loop_enumerate_witnesses(pref, k, iv), (tup, k)
