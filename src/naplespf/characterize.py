@@ -13,10 +13,10 @@ verification sweep checks the extraction against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .classify import is_complete, is_k_naples
-from .core import ParkingPreference, excess, restrict_shift
+from .core import ExcessProfile, ParkingPreference, excess, restrict_shift
 from .errors import (
     NotMaximalInterval,
     PreconditionFailed,
@@ -56,6 +56,10 @@ class WitnessCertificate:
     interval: tuple[int, int]
     indices: tuple[int, ...]
     shifted_restriction: ParkingPreference
+
+
+# find_witness, or a cache in front of it
+_Lookup = Callable[..., WitnessCertificate | None]
 
 
 def _require_maximal_interval(
@@ -196,10 +200,7 @@ def verify_main_theorem(pref: ParkingPreference, k: int) -> bool:
     """
     if k < 1:
         raise ValueError(f"backward window must be >= 1, got {k}")
-    result = all(
-        find_witness(pref, k, interval) is not None
-        for interval in excess(pref).intervals
-    )
+    result = _witnessed(pref, k, excess(pref), find_witness)
     if result != is_k_naples(pref, k):
         raise VerificationFailed(
             f"witnesses ({result}) and parking disagree on {pref} with window {k}",
@@ -208,25 +209,36 @@ def verify_main_theorem(pref: ParkingPreference, k: int) -> bool:
     return result
 
 
+def _witnessed(
+    pref: ParkingPreference, k: int, prof: ExcessProfile, witness: _Lookup
+) -> bool:
+    return all(witness(pref, k, iv) is not None for iv in prof.intervals)
+
+
 def verify_decomposition_lemma(pref: ParkingPreference, k: int, j: int) -> bool:
     """Check that the upper part of a member splits off as a member.
 
     For a preference that parks and a position j with excess 0, the cars
     preferring a spot >= j, shifted down by j-1, must again park under the
-    same rule.  The analogous claim for the lower part is false in general,
-    and the cars of the upper part may still park below j in the original
-    process; neither is asserted here.
+    same rule; :class:`~naplespf.errors.VerificationFailed` is raised if they
+    do not.  The analogous claim for the lower part is false in general, and
+    the cars of the upper part may still park below j in the original process.
     """
     if not is_k_naples(pref, k):
         raise PreconditionFailed(f"{pref} does not park with window {k}")
-    prof = excess(pref)
-    if not 1 <= j <= pref.n or prof.u(j) != 0:
+    if not 1 <= j <= pref.n or excess(pref).u(j) != 0:
         raise PreconditionFailed(f"excess at position {j} must be 0")
-    if j == 1:
-        return True
-    upper_idx = [i for i in range(1, pref.n + 1) if pref.prefs[i - 1] >= j]
-    upper = restrict_shift(pref, upper_idx, j - 1)
-    return is_k_naples(upper, k)
+    if not _upper_part_parks(pref, k, j):
+        raise VerificationFailed(
+            f"upper part of {pref} at {j} does not park with window {k}", (pref, k, j)
+        )
+    return True
+
+
+def _upper_part_parks(pref: ParkingPreference, k: int, j: int) -> bool:
+    """Whether the cars preferring spots >= j, shifted down by j-1, park."""
+    upper = [a - (j - 1) for a in pref.prefs if a >= j]
+    return None not in park_cars(upper, k, len(upper))
 
 
 def restricted_spot_before_occupied(pref: ParkingPreference, k: int, p: int) -> bool:
@@ -290,20 +302,26 @@ def verify_summary_theorem(pref: ParkingPreference, k: int) -> SummaryReport:
     """
     if k < 1:
         raise ValueError(f"backward window must be >= 1, got {k}")
-    conditions = []
-    for p, q in excess(pref).intervals:
-        conditions.append(
-            IntervalConditions(
-                interval=(p, q),
-                size=q - p + 1,
-                auto=q - p + 1 <= k,
-                spot_before_occupied=restricted_spot_before_occupied(pref, k, p),
-                witness=find_witness(pref, k, (p, q)),
-            )
-        )
-    report = SummaryReport(k, is_k_naples(pref, k), tuple(conditions))
+    report = _summary(pref, k, is_k_naples(pref, k), excess(pref), find_witness)
     if not report.consistent:
         raise VerificationFailed(
             f"summary conditions inconsistent on {pref} with window {k}", report
         )
     return report
+
+
+def _summary(
+    pref: ParkingPreference, k: int, naples: bool, prof: ExcessProfile, witness: _Lookup
+) -> SummaryReport:
+    """Both conditions on every interval, witnesses looked up by ``witness``."""
+    conditions = tuple(
+        IntervalConditions(
+            interval=(p, q),
+            size=q - p + 1,
+            auto=q - p + 1 <= k,
+            spot_before_occupied=restricted_spot_before_occupied(pref, k, p),
+            witness=witness(pref, k, (p, q)),
+        )
+        for p, q in prof.intervals
+    )
+    return SummaryReport(k, naples, conditions)

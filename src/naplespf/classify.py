@@ -12,9 +12,15 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import ParkingPreference, excess
-from .errors import NotComplete, NotNonincreasing, SizeLimitExceeded, TooShort
-from .simulator import park_uniform
+from .core import ExcessProfile, ParkingPreference, excess
+from .errors import (
+    NotComplete,
+    NotNonincreasing,
+    SizeLimitExceeded,
+    TooShort,
+    VerificationFailed,
+)
+from .simulator import ParkingOutcome, park_uniform
 
 __all__ = [
     "is_parking_function",
@@ -42,7 +48,8 @@ def is_parking_function(pref: ParkingPreference) -> bool:
     """True when every car parks under the classical (forward-only) rule.
 
     Equivalent to the excess being <= 0 everywhere, which is how it is
-    computed; the simulation cross-check below keeps the two routes honest.
+    computed; the classical process is run as a cross-check, and
+    :class:`~naplespf.errors.VerificationFailed` is raised if the two disagree.
 
     >>> is_parking_function(ParkingPreference((3, 1, 3, 5, 2, 4, 2)))
     True
@@ -50,7 +57,8 @@ def is_parking_function(pref: ParkingPreference) -> bool:
     False
     """
     result = excess(pref).is_empty
-    assert result == park_uniform(pref, 0).all_parked
+    if result != park_uniform(pref, 0).all_parked:
+        raise VerificationFailed(f"excess and parking disagree on {pref}", (pref, 0))
     return result
 
 
@@ -63,16 +71,24 @@ def check_p_minus_1(pref: ParkingPreference, k: int) -> bool:
     """Membership test via the critical spots just below each interval.
 
     Runs the process and checks that for every maximal critical interval
-    [p, q] the spot p-1 ends up occupied; this holds exactly when the whole
-    preference parks, which the function also asserts.
+    [p, q] the spot p-1 ends up occupied.  This holds exactly when the whole
+    preference parks; :class:`~naplespf.errors.VerificationFailed` is raised
+    if it does not.
     """
     if k < 1:
         raise ValueError(f"backward window must be >= 1, got {k}")
     outcome = park_uniform(pref, k)
-    occupied = {s for s in outcome.spot_of if s is not None}
-    result = all(p - 1 in occupied for p, _q in excess(pref).intervals)
-    assert result == outcome.all_parked
+    result = _spots_below_filled(outcome, excess(pref))
+    if result != outcome.all_parked:
+        raise VerificationFailed(
+            f"spots p-1 and parking disagree on {pref} with window {k}", (pref, k)
+        )
     return result
+
+
+def _spots_below_filled(outcome: ParkingOutcome, prof: ExcessProfile) -> bool:
+    """Whether spot p-1 is occupied for every maximal interval [p, q]."""
+    return all(p - 1 in outcome.spot_of for p, _q in prof.intervals)
 
 
 def necessary_excess_bound(pref: ParkingPreference, k: int) -> bool:
@@ -131,10 +147,24 @@ class CompleteEquivalences:
 def complete_naples_equivalences(
     pref: ParkingPreference, k: int
 ) -> CompleteEquivalences:
-    """Evaluate all three membership conditions for a complete preference."""
+    """Evaluate all three membership conditions for a complete preference.
+
+    Raises :class:`~naplespf.errors.VerificationFailed`, carrying the
+    report, when the three disagree.
+    """
     if not is_complete(pref):
         raise NotComplete(f"{pref} is not complete")
-    outcome = park_uniform(pref, k)
+    report = _equivalences(pref, park_uniform(pref, k))
+    if not report.agree:
+        raise VerificationFailed(
+            f"membership conditions disagree on {pref} with window {k}", report
+        )
+    return report
+
+
+def _equivalences(
+    pref: ParkingPreference, outcome: ParkingOutcome
+) -> CompleteEquivalences:
     occupant = outcome.occupant_of()
     backward = all(
         j in occupant and pref.prefs[occupant[j] - 1] >= j
@@ -143,14 +173,15 @@ def complete_naples_equivalences(
     bounded = all(
         s is not None and s <= a for a, s in zip(pref.prefs, outcome.spot_of)
     )
-    report = CompleteEquivalences(outcome.all_parked, backward, bounded)
-    assert report.agree
-    return report
+    return CompleteEquivalences(outcome.all_parked, backward, bounded)
 
 
 def cars_parked_before(pref: ParkingPreference, k: int, j: int) -> int:
     """Number of cars preferring a spot >= j that park strictly before j."""
-    outcome = park_uniform(pref, k)
+    return _parked_before(pref, park_uniform(pref, k), j)
+
+
+def _parked_before(pref: ParkingPreference, outcome: ParkingOutcome, j: int) -> int:
     return sum(
         1
         for a, s in zip(pref.prefs, outcome.spot_of)
@@ -172,21 +203,34 @@ def quantitative_bound(pref: ParkingPreference, k: int) -> tuple[SpotBound, ...]
 
     For each position j, at most u(j) cars preferring a spot >= j can park
     strictly before j, with equality at every position when the whole
-    preference parks.  Both facts are asserted.
+    preference parks.  :class:`~naplespf.errors.VerificationFailed`, carrying
+    the rows, is raised when either fails.
     """
     if not is_complete(pref):
         raise NotComplete(f"{pref} is not complete")
-    prof = excess(pref)
-    naples = is_k_naples(pref, k)
-    rows = []
-    for j in range(1, pref.n + 1):
-        b = cars_parked_before(pref, k, j)
-        u = prof.u(j)
-        assert b <= u
-        if naples:
-            assert b == u
-        rows.append(SpotBound(j, b, u))
-    return tuple(rows)
+    outcome = park_uniform(pref, k)
+    rows = _spot_bounds(pref, outcome, excess(pref))
+    if not _bounds_hold(rows, outcome.all_parked):
+        raise VerificationFailed(
+            f"backward traffic and excess disagree on {pref} with window {k}", rows
+        )
+    return rows
+
+
+def _spot_bounds(
+    pref: ParkingPreference, outcome: ParkingOutcome, prof: ExcessProfile
+) -> tuple[SpotBound, ...]:
+    return tuple(
+        SpotBound(j, _parked_before(pref, outcome, j), prof.u(j))
+        for j in range(1, pref.n + 1)
+    )
+
+
+def _bounds_hold(rows: tuple[SpotBound, ...], all_parked: bool) -> bool:
+    return all(
+        r.parked_before == r.excess if all_parked else r.parked_before <= r.excess
+        for r in rows
+    )
 
 
 def is_permutation_invariant(pref: ParkingPreference, k: int) -> bool:

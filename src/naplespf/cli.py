@@ -87,6 +87,20 @@ def _spots_text(spots) -> str:
     return ",".join(str(s) for s in spots) if spots else "-"
 
 
+def _exit_counterexample(pref: ParkingPreference, as_json: bool, **fields) -> None:
+    """Print a counterexample as JSON (always with n) or as text, and exit 3."""
+    if as_json:
+        doc = {"preference": list(pref.prefs), "n": pref.n, **fields}
+        click.echo(json.dumps({"verified": False, "counterexample": doc}))
+    else:
+        shown = ", ".join(
+            f"{key}={_spots_text(v) if isinstance(v, list) else v}"
+            for key, v in fields.items()
+        )
+        click.echo(f"counterexample: {pref.render()} ({shown})")
+    sys.exit(_EXIT_COUNTEREXAMPLE)
+
+
 @click.group()
 def main() -> None:
     """Parking preferences under the k-Naples rule: simulate, classify,
@@ -182,13 +196,7 @@ def classify(preference: str, window: int, as_json: bool, expect: str | None) ->
     if as_json:
         click.echo(json.dumps(doc))
     else:
-        for key in (
-            "parking_function",
-            "k_naples",
-            "complete",
-            "complete_k_naples",
-            "perm_invariant",
-        ):
+        for key in _CHECKABLE:
             click.echo(f"{key}: {'true' if doc[key] else 'false'}")
         click.echo(f"max_excess: {doc['max_excess']}")
         click.echo(f"excess: {','.join(str(u) for u in doc['excess'])}")
@@ -387,52 +395,20 @@ def sweep_cmd(n_max: int, k_max: int | None, verify: bool, as_json: bool) -> Non
         ks = range(1, min(k_max if k_max is not None else n, n) + 1)
         ce = verify_sweep(n, ks=list(ks))
         if ce is not None:
-            if as_json:
-                click.echo(
-                    json.dumps(
-                        {
-                            "verified": False,
-                            "counterexample": {
-                                "preference": list(ce.pref.prefs),
-                                "n": ce.n,
-                                "k": ce.k,
-                                "property": ce.property_name,
-                            },
-                        }
-                    )
-                )
-            else:
-                click.echo(
-                    f"counterexample: {ce.pref.render()}"
-                    f" (n={ce.n}, k={ce.k}, property={ce.property_name})"
-                )
-            sys.exit(_EXIT_COUNTEREXAMPLE)
+            _exit_counterexample(
+                ce.pref, as_json, n=ce.n, k=ce.k, property=ce.property_name
+            )
         if not as_json:
             click.echo(f"n={n}: all invariants hold")
     violation = find_monotone_window_violation(min(n_max, 4))
     if violation is not None:
-        if as_json:
-            click.echo(
-                json.dumps(
-                    {
-                        "verified": False,
-                        "counterexample": {
-                            "preference": list(violation.pref.prefs),
-                            "n": violation.pref.n,
-                            "windows": list(violation.windows),
-                            "car": violation.car,
-                            "property": "monotone_windows",
-                        },
-                    }
-                )
-            )
-        else:
-            click.echo(
-                f"counterexample: {violation.pref.render()}"
-                f" (windows={','.join(str(w) for w in violation.windows)},"
-                f" car={violation.car}, property=monotone_windows)"
-            )
-        sys.exit(_EXIT_COUNTEREXAMPLE)
+        _exit_counterexample(
+            violation.pref,
+            as_json,
+            windows=list(violation.windows),
+            car=violation.car,
+            property="monotone_windows",
+        )
     if as_json:
         click.echo(json.dumps({"verified": True, "counterexample": None}))
     else:

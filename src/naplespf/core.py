@@ -266,8 +266,9 @@ def decompose_at(
     prof = excess(pref)
     if prof.u(j) != 0:
         raise NotZeroExcess(f"excess at position {j} is {prof.u(j)}, expected 0")
+    # u(j) == 0 leaves exactly n-j+1 cars preferring a spot >= j; the
+    # decomposition_excess sweep property checks the split on every preference.
     upper_idx = tuple(i for i in range(1, n + 1) if pref.prefs[i - 1] >= j)
-    assert len(upper_idx) == n - j + 1  # forced by u(j) == 0
     if j == 1:
         return None, pref
     upper = restrict_shift(pref, upper_idx, j - 1)

@@ -26,14 +26,23 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .characterize import (
     _SUBSET_SEARCH_CAP,
     WitnessCertificate,
+    _summary,
+    _upper_part_parks,
     _witness_subsets,
+    _witnessed,
     find_witness,
-    restricted_spot_before_occupied,
 )
-from .classify import distinct_rearrangements, is_permutation_invariant
+from .classify import (
+    _bounds_hold,
+    _equivalences,
+    _spot_bounds,
+    _spots_below_filled,
+    distinct_rearrangements,
+    is_permutation_invariant,
+)
 from .core import ParkingPreference, decompose_at, excess, multiplicities
 from .errors import SizeLimitExceeded, UnknownProperty, VerificationFailed
-from .simulator import ParkingOutcome, park_cars, park_uniform
+from .simulator import ParkingOutcome, park_uniform
 
 __all__ = [
     "PREDICATES",
@@ -208,9 +217,12 @@ def count_perm_invariant_fast(n: int, k: int, by_class: bool = False) -> int:
 
 # --------------------------------------------------------------------------
 # Property registry: every structural fact the package relies on, phrased as
-# a per-preference check against brute force.  Checks re-derive what they
-# need from the parking process and the excess values directly, so they stay
-# independent of the higher-level classification code they vet.
+# a per-preference check against brute force.  A fact that a public check_*
+# or verify_* function also states has one body in classify or characterize:
+# the property feeds it the cached outcome, profile and witnesses below,
+# while the public function computes its own and raises VerificationFailed.
+# The other properties re-derive what they need from the parking process and
+# the excess values.
 # --------------------------------------------------------------------------
 
 
@@ -333,9 +345,7 @@ def _prop_drive_forward(pref: ParkingPreference, k: int) -> bool:
 
 def _prop_p_minus_1(pref: ParkingPreference, k: int) -> bool:
     out = _outcome(pref, k)
-    occupied = {s for s in out.spot_of if s is not None}
-    filled = all(p - 1 in occupied for p, _q in _profile(pref).intervals)
-    return filled == out.all_parked
+    return _spots_below_filled(out, _profile(pref)) == out.all_parked
 
 
 def _is_complete(pref: ParkingPreference) -> bool:
@@ -345,55 +355,23 @@ def _is_complete(pref: ParkingPreference) -> bool:
 def _prop_char_complete(pref: ParkingPreference, k: int) -> bool:
     if not _is_complete(pref):
         return True
-    out = _outcome(pref, k)
-    occupant = out.occupant_of()
-    backward = all(
-        j in occupant and pref.prefs[occupant[j] - 1] >= j
-        for j in range(1, pref.n + 1)
-    )
-    bounded = all(
-        s is not None and s <= a for a, s in zip(pref.prefs, out.spot_of)
-    )
-    return out.all_parked == backward == bounded
+    return _equivalences(pref, _outcome(pref, k)).agree
 
 
 def _prop_quantitative_bound(pref: ParkingPreference, k: int) -> bool:
-    if not _is_complete(pref):
-        return True
     out = _outcome(pref, k)
-    prof = _profile(pref)
-    for j in range(1, pref.n + 1):
-        before = sum(
-            1
-            for a, s in zip(pref.prefs, out.spot_of)
-            if a >= j and s is not None and s < j
-        )
-        if before > prof.u(j):
-            return False
-        if out.all_parked and before != prof.u(j):
-            return False
-    return True
+    rows = _spot_bounds(pref, out, _profile(pref)) if _is_complete(pref) else ()
+    return _bounds_hold(rows, out.all_parked)
 
 
 def _prop_restricted_translated(pref: ParkingPreference, k: int) -> bool:
-    if not _outcome(pref, k).all_parked:
-        return True
-    prof = _profile(pref)
-    for j in range(2, pref.n + 1):
-        if prof.u(j) != 0:
-            continue
-        upper = [a - (j - 1) for a in pref.prefs if a >= j]
-        spots = park_cars(upper, k, len(upper))
-        if any(s is None for s in spots):
-            return False
-    return True
+    zeros = [j for j, u in enumerate(_profile(pref).values[1:], 2) if u == 0]
+    parked = _outcome(pref, k).all_parked
+    return not parked or all(_upper_part_parks(pref, k, j) for j in zeros)
 
 
 def _prop_main_characterization(pref: ParkingPreference, k: int) -> bool:
-    witnessed = all(
-        _witness(pref, k, iv) is not None for iv in _profile(pref).intervals
-    )
-    return witnessed == _outcome(pref, k).all_parked
+    return _witnessed(pref, k, _profile(pref), _witness) == _outcome(pref, k).all_parked
 
 
 def _prop_witness_size(pref: ParkingPreference, k: int) -> bool:
@@ -428,19 +406,8 @@ def _prop_tail_lemma(pref: ParkingPreference, k: int) -> bool:
 
 
 def _prop_summary_theorem(pref: ParkingPreference, k: int) -> bool:
-    prof = _profile(pref)
     naples = _outcome(pref, k).all_parked
-    large_ok = True
-    for p, q in prof.intervals:
-        cond_i = restricted_spot_before_occupied(pref, k, p)
-        cond_ii = _witness(pref, k, (p, q)) is not None
-        if cond_i != cond_ii:
-            return False
-        if q - p + 1 <= k and not cond_ii:
-            return False
-        if q - p + 1 >= k + 1 and not cond_ii:
-            large_ok = False
-    return naples == large_ok
+    return _summary(pref, k, naples, _profile(pref), _witness).consistent
 
 
 def _prop_perm_invariance(pref: ParkingPreference, k: int) -> bool:
@@ -585,25 +552,18 @@ def find_counterexample(
 ) -> Counterexample | None:
     """First preference violating a registered property, or None.
 
-    Scans lengths in increasing order, preferences in odometer order and
-    windows in increasing order, so e.g. the deliberately false excess-bound
-    property yields (2,3,3) at n=3, k=1.
+    Runs :func:`verify_sweep` for windows 0..k_max at each length in
+    increasing order, so e.g. the deliberately false excess-bound property
+    yields (2,3,3) at n=3, k=1.
     """
     if property_name not in PROPERTIES:
         raise UnknownProperty(
             f"unknown property {property_name!r}; known: {sorted(PROPERTIES)}"
         )
-    prop = PROPERTIES[property_name]
     for n in range(1, n_max + 1):
-        for tup in iter_preferences(n):
-            pref = ParkingPreference(tup)
-            if prop.k_independent:
-                ks: Iterable[int] = (prop.k_min,)
-            else:
-                ks = range(prop.k_min, k_max + 1)
-            for k in ks:
-                if not prop.check(pref, k):
-                    return Counterexample(pref, n, k, property_name)
+        ce = verify_sweep(n, range(k_max + 1), (property_name,))
+        if ce is not None:
+            return ce
     return None
 
 
@@ -624,31 +584,24 @@ def verify_sweep(
     unknown = [name for name in names if name not in PROPERTIES]
     if unknown:
         raise UnknownProperty(f"unknown properties: {unknown}")
-    per_pref = [
-        PROPERTIES[name] for name in names if name != "perm_invariance"
-    ]
-    for tup in iter_preferences(n):
-        pref = ParkingPreference(tup)
-        for prop in per_pref:
-            if prop.k_independent:
-                if not prop.check(pref, prop.k_min):
-                    return Counterexample(pref, n, prop.k_min, prop.name)
-            else:
-                for k in ks:
-                    if k < prop.k_min:
-                        continue
-                    if not prop.check(pref, k):
+
+    def first_failure(
+        tuples: Iterable[tuple[int, ...]], props: list[SweepProperty]
+    ) -> Counterexample | None:
+        for tup in tuples:
+            pref = ParkingPreference(tup)
+            for prop in props:
+                for k in (prop.k_min,) if prop.k_independent else ks:
+                    if k >= prop.k_min and not prop.check(pref, k):
                         return Counterexample(pref, n, k, prop.name)
-    if "perm_invariance" in names:
-        prop = PROPERTIES["perm_invariance"]
-        for rep in itertools.combinations_with_replacement(range(1, n + 1), n):
-            pref = ParkingPreference(rep)
-            for k in ks:
-                if k < prop.k_min:
-                    continue
-                if not prop.check(pref, k):
-                    return Counterexample(pref, n, k, prop.name)
-    return None
+        return None
+
+    per_pref = [PROPERTIES[name] for name in names if name != "perm_invariance"]
+    ce = first_failure(iter_preferences(n), per_pref)
+    if ce is None and "perm_invariance" in names:
+        multisets = itertools.combinations_with_replacement(range(1, n + 1), n)
+        ce = first_failure(multisets, [PROPERTIES["perm_invariance"]])
+    return ce
 
 
 def find_monotone_window_violation(

@@ -316,6 +316,17 @@ class TestSummaryTheorem:
         assert not report.k_naples
         assert report.consistent
 
+    def test_missing_witness_on_short_interval_raises(self, monkeypatch):
+        # (2,3,3) parks with window 2 and its one interval is short; with no
+        # witness and a restricted process that agrees, only the clause that
+        # short intervals hold for free is broken
+        monkeypatch.setattr(naplespf.characterize, "find_witness", lambda *a: None)
+        monkeypatch.setattr(
+            naplespf.characterize, "restricted_spot_before_occupied", lambda *a: False
+        )
+        with pytest.raises(VerificationFailed):
+            verify_summary_theorem(ParkingPreference((2, 3, 3)), 2)
+
     def test_restricted_process(self):
         assert restricted_spot_before_occupied(ALPHA10, 2, 4)
         assert not restricted_spot_before_occupied(

@@ -1,14 +1,19 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 
-from helpers import preferences
+from helpers import SRC, preferences
 from naplespf import (
+    CompleteEquivalences,
     NotComplete,
     NotNonincreasing,
     ParkingPreference,
     SizeLimitExceeded,
+    SpotBound,
     TooShort,
     cars_parked_before,
     check_p_minus_1,
@@ -256,3 +261,54 @@ class TestMinimalWindow:
         assert is_k_naples(pref, k)
         if k > 0:
             assert not is_k_naples(pref, k - 1)
+
+
+def test_planted_outcomes_raise_under_python_O():
+    # the same script runs here and in a fresh interpreter under -O: with
+    # park_uniform replaced by a planted outcome that no real process yields,
+    # each check disagrees with the excess route and must raise, not assert
+    code = (
+        "import sys\n"
+        "import naplespf.classify as cl\n"
+        "from naplespf import ParkingOutcome, ParkingPreference, VerificationFailed\n"
+        "planted = {\n"
+        "    (2, 3, 3): (2, 3, 3),  # every car at its preference\n"
+        "    (5, 3, 3, 5, 4): (5, 3, 3, 5, 4),\n"
+        "    (2, 5, 4, 5, 3): (1, 2, 3, 4, 5),  # car i at spot i\n"
+        "}\n"
+        "real = cl.park_uniform\n"
+        "cl.park_uniform = lambda p, w: ParkingOutcome(planted[p.prefs])\n"
+        "out = []\n"
+        "try:\n"
+        "    for check, prefs, k in [\n"
+        "        (cl.is_parking_function, (2, 3, 3), None),\n"
+        "        (cl.check_p_minus_1, (2, 3, 3), 1),\n"
+        "        (cl.complete_naples_equivalences, (2, 5, 4, 5, 3), 2),\n"
+        "        (cl.quantitative_bound, (5, 3, 3, 5, 4), 2),\n"
+        "    ]:\n"
+        "        args = (ParkingPreference(prefs),) + (() if k is None else (k,))\n"
+        "        try:\n"
+        "            check(*args)\n"
+        "        except VerificationFailed as exc:\n"
+        "            out.append(exc.counterexample)\n"
+        "finally:\n"
+        "    cl.park_uniform = real\n"
+    )
+    here = {}
+    exec(code, here)
+    assert here["out"] == [
+        (ParkingPreference((2, 3, 3)), 0),
+        (ParkingPreference((2, 3, 3)), 1),
+        # every spot is filled, yet car 5 (preferring 3) holds spot 5
+        CompleteEquivalences(True, False, False),
+        # all park but nobody drives backwards: equality with u(j) fails
+        tuple(SpotBound(j, 0, u) for j, u in enumerate((0, 1, 2, 1, 1), 1)),
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code + "print(sys.flags.optimize, out)"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        check=True,
+    )
+    assert proc.stdout == f"1 {here['out']}\n"

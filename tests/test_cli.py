@@ -317,6 +317,70 @@ class TestSweep:
         validate(doc, "sweep")
         assert doc["reports"][0]["n"] == 1
 
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_theorem_counterexample_report(self, runner, monkeypatch, as_json):
+        import naplespf.cli as cli_module
+        from naplespf import Counterexample, ParkingPreference
+
+        ce = Counterexample(ParkingPreference((2, 3, 3)), 3, 1, "tail_lemma")
+        monkeypatch.setattr(cli_module, "verify_sweep", lambda n, ks: ce)
+        args = ["sweep", "--n-max", "4", "--verify"]
+        result = runner.invoke(main, args + ["--json"] * as_json)
+        assert result.exit_code == 3
+        if not as_json:
+            assert result.output == (
+                "counterexample: 2,3,3 (n=3, k=1, property=tail_lemma)\n"
+            )
+            return
+        validate(json.loads(result.output), "sweep")
+        assert result.output == json.dumps(
+            {
+                "verified": False,
+                "counterexample": {
+                    "preference": [2, 3, 3],
+                    "n": 3,
+                    "k": 1,
+                    "property": "tail_lemma",
+                },
+            }
+        ) + "\n"
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_monotone_window_counterexample_report(
+        self, runner, monkeypatch, as_json
+    ):
+        import naplespf.cli as cli_module
+        from naplespf import MonotoneWindowViolation, ParkingPreference
+
+        violation = MonotoneWindowViolation(ParkingPreference((1, 3, 2)), (0, 2, 1), 2)
+        monkeypatch.setattr(cli_module, "verify_sweep", lambda n, ks: None)
+        monkeypatch.setattr(
+            cli_module, "find_monotone_window_violation", lambda n_max: violation
+        )
+        args = ["sweep", "--n-max", "2", "--verify"]
+        result = runner.invoke(main, args + ["--json"] * as_json)
+        assert result.exit_code == 3
+        if not as_json:
+            assert result.output == (
+                "n=1: all invariants hold\n"
+                "n=2: all invariants hold\n"
+                "counterexample: 1,3,2 (windows=0,2,1, car=2, property=monotone_windows)\n"
+            )
+            return
+        validate(json.loads(result.output), "sweep")
+        assert result.output == json.dumps(
+            {
+                "verified": False,
+                "counterexample": {
+                    "preference": [1, 3, 2],
+                    "n": 3,
+                    "windows": [0, 2, 1],
+                    "car": 2,
+                    "property": "monotone_windows",
+                },
+            }
+        ) + "\n"
+
 
 _LAZY_MODULES = ("numpy", "naplespf._kernels", "concurrent.futures")
 

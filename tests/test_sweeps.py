@@ -1,9 +1,13 @@
+import ast
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from naplespf import (
+    Counterexample,
+    ParkingOutcome,
     ParkingPreference,
     SizeLimitExceeded,
     UnknownProperty,
@@ -172,6 +176,18 @@ class TestFalsification:
             assert prop.doc
         assert "excess_bound_is_sufficient" not in TRUE_PROPERTIES
 
+    def test_benchmark_times_the_registered_properties(self):
+        # perfbench/run.py names each property it times without importing
+        # the package, so a renamed property must be renamed there too
+        run_py = Path(__file__).parent.parent / "perfbench" / "run.py"
+        (listed,) = [
+            ast.literal_eval(node.value)
+            for node in ast.parse(run_py.read_text()).body
+            if isinstance(node, ast.Assign)
+            and [getattr(t, "id", None) for t in node.targets] == ["TRUE_PROPERTIES"]
+        ]
+        assert listed == TRUE_PROPERTIES
+
 
 class TestVerifySweep:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -188,6 +204,40 @@ class TestVerifySweep:
     def test_finds_planted_counterexample(self):
         ce = verify_sweep(3, ks=(1,), properties=("excess_bound_is_sufficient",))
         assert ce is not None and ce.pref.prefs == (2, 3, 3)
+
+    @pytest.mark.parametrize(
+        "name, planted, first",
+        [
+            # every car parks at its preference: nobody drives backwards
+            ("quantitative_bound", "at_preference", (2, 3, 4, 4)),
+            ("p_minus_1_biconditional", "at_preference", (1, 1, 4, 4)),
+            # car i parks at spot i: car 4 ends past its preference
+            ("char_complete_equivalence", "in_arrival_order", (2, 4, 4, 3)),
+        ],
+    )
+    def test_planted_outcome_is_caught(self, monkeypatch, name, planted, first):
+        fake = {
+            "at_preference": lambda pref, k: ParkingOutcome(pref.prefs),
+            "in_arrival_order": lambda pref, k: ParkingOutcome(
+                tuple(range(1, pref.n + 1))
+            ),
+        }[planted]
+        monkeypatch.setattr(sweeps, "_outcome", fake)
+        ce = verify_sweep(4, properties=[name])
+        assert ce == Counterexample(ParkingPreference(first), 4, 1, name)
+
+    def test_summary_theorem_catches_missing_short_witness(self, monkeypatch):
+        # no witness anywhere, and the restricted process agrees; (1,1,4,4)
+        # parks with window 1 and its one interval [4,4] is short, so only
+        # the clause that short intervals hold for free catches it
+        monkeypatch.setattr(sweeps, "_witness", lambda *a: None)
+        monkeypatch.setattr(
+            characterize, "restricted_spot_before_occupied", lambda *a: False
+        )
+        ce = verify_sweep(4, properties=["summary_theorem"])
+        assert ce == Counterexample(
+            ParkingPreference((1, 1, 4, 4)), 4, 1, "summary_theorem"
+        )
 
     def test_witness_size_bound_fails_on_failed_recheck(self, monkeypatch):
         # the property leaves the certificate check to find_witness, which
