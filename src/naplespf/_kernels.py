@@ -33,8 +33,8 @@ IDX_COMPLETE_K_NAPLES = 3
 IDX_PERM_INVARIANT = 4
 N_PREDICATES = 5
 
-#: Ranks per block in count_range and monotone_window_violation; each
-#: shard thread holds one block.
+#: Ranks per block in count_range and monotone_window_violation; one block
+#: is held in memory at a time.
 BLOCK = 2048
 #: Largest n whose spots 1..n fit in an int64 occupancy bitmask.
 MAX_BITMASK_N = 62

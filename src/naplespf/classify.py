@@ -133,6 +133,12 @@ class CompleteEquivalences:
     For complete preferences these must agree: all cars park iff every spot
     is held by a car preferring it or a later spot iff no car ends up past
     its preference.
+
+    ``agree`` cannot catch a fault in the backward-occupancy leg alone.
+    When all n cars hold distinct spots, backward occupancy says the same
+    as a bounded outcome; otherwise some spot is empty and both are False.
+    Only the ``backward_occupancy`` field itself, pinned by a test run
+    under ``python -O``, covers that leg.
     """
 
     all_parked: bool

@@ -175,9 +175,6 @@ def _classification(pref: ParkingPreference, k: int) -> dict:
     }
 
 
-_CHECKABLE = ("parking_function", "k_naples", "complete", "complete_k_naples", "perm_invariant")
-
-
 @main.command()
 @click.option("-p", "--preference", required=True)
 @click.option("-k", "--window", type=int, default=0, show_default=True)
@@ -196,7 +193,7 @@ def classify(preference: str, window: int, as_json: bool, expect: str | None) ->
     if as_json:
         click.echo(json.dumps(doc))
     else:
-        for key in _CHECKABLE:
+        for key in PREDICATES:
             click.echo(f"{key}: {'true' if doc[key] else 'false'}")
         click.echo(f"max_excess: {doc['max_excess']}")
         click.echo(f"excess: {','.join(str(u) for u in doc['excess'])}")
@@ -205,9 +202,9 @@ def classify(preference: str, window: int, as_json: bool, expect: str | None) ->
         click.echo(f"min_naples_k: {doc['min_naples_k']}")
     if expect is not None:
         name = expect.strip().lower().replace("-", "_")
-        if name not in _CHECKABLE:
+        if name not in PREDICATES:
             raise click.UsageError(
-                f"unknown predicate {expect!r}; choose from {', '.join(_CHECKABLE)}"
+                f"unknown predicate {expect!r}; choose from {', '.join(PREDICATES)}"
             )
         if not doc[name]:
             sys.exit(_EXIT_PREDICATE_FALSE)
@@ -338,6 +335,8 @@ def count(
     """Count predicate hits over all n^n preferences."""
     if window is not None and k_max is not None:
         raise click.UsageError("give either -k or --k-max, not both")
+    if k_max is not None and k_max < 0:
+        raise click.UsageError(f"need --k-max >= 0, got {k_max}")
     ks = [window] if window is not None else list(range(0, (k_max if k_max is not None else n) + 1))
     names = tuple(PREDICATES)
     if predicates:
@@ -379,6 +378,10 @@ def sweep_cmd(n_max: int, k_max: int | None, verify: bool, as_json: bool) -> Non
     """Sweep all lengths up to n-max; with --verify, hunt for counterexamples."""
     if n_max < 1:
         raise click.UsageError(f"need n-max >= 1, got {n_max}")
+    floor = 1 if verify else 0  # --verify checks windows 1..k-max
+    if k_max is not None and k_max < floor:
+        suffix = " with --verify" if verify else ""
+        raise click.UsageError(f"need --k-max >= {floor}{suffix}, got {k_max}")
     if not verify:
         doc = []
         for n in range(1, n_max + 1):

@@ -5,9 +5,10 @@ a verification harness that machine-checks every structural fact this
 package relies on against brute force, and a falsification hook that hunts
 for counterexamples to a named property.
 
-Preferences are visited in odometer order (last entry fastest), sharded into
-contiguous rank ranges; counts are plain integer sums, so results do not
-depend on the shard count or execution order.
+Preferences are visited in odometer order (last entry fastest), split into
+contiguous rank ranges that are counted one after another in the calling
+thread; counts are plain integer sums, so results do not depend on the
+shard count.
 
 numpy and :mod:`naplespf._kernels` load on the first counting call or
 monotone-window check, not at import, so commands that only simulate or
@@ -41,7 +42,7 @@ from .classify import (
     is_permutation_invariant,
 )
 from .core import ParkingPreference, decompose_at, excess, multiplicities
-from .errors import SizeLimitExceeded, UnknownProperty, VerificationFailed
+from .errors import SizeLimitExceeded, UnknownProperty
 from .simulator import ParkingOutcome, park_uniform
 
 __all__ = [
@@ -109,25 +110,21 @@ def sweep(
     k: int,
     predicates: Iterable[str] | None = None,
     shards: int = 1,
-    max_n: int = DEFAULT_MAX_N,
     allow_large: bool = False,
-    verify: bool = False,
 ) -> CountReport:
     """Count predicate hits over all n^n preferences under window k.
 
-    ``shards`` splits the rank space into contiguous ranges handed to a
-    thread pool; the counts are identical for any shard count.  Counting is
-    numpy code over blocks of ranks.  With ``verify`` the registered
-    invariants are also checked for this (n, k) and a
-    :class:`~naplespf.errors.VerificationFailed` carries the first
-    counterexample.
+    ``shards`` splits the rank space into that many contiguous ranges,
+    counted in rank order in the calling thread; the counts are identical
+    for any shard count.  Counting is numpy code over blocks of ranks.
+    n is capped at 8, or at 9 with ``allow_large``.
 
     >>> sweep(3, 1).counts["k_naples"]
     24
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    cap = max(max_n, HARD_MAX_N if allow_large else 0)
+    cap = HARD_MAX_N if allow_large else DEFAULT_MAX_N
     if n > cap:
         raise SizeLimitExceeded(f"n={n} above the size cap {cap}")
     if not 0 <= k <= n:
@@ -143,35 +140,14 @@ def sweep(
 
     from . import _kernels
 
-    if shards > 1:  # imported before the clock starts, like numpy
-        from concurrent.futures import ThreadPoolExecutor
-
     start = time.perf_counter()
     total = n**n
     bounds = _shard_bounds(total, shards)
-    ranges = [(bounds[i], bounds[i + 1]) for i in range(shards)]
-
-    def run_range(bound: tuple[int, int]) -> np.ndarray:
-        out = np.zeros(_kernels.N_PREDICATES, np.int64)
-        _kernels.count_range(n, k, bound[0], bound[1], out)
-        return out
-
-    if shards == 1:
-        parts = [run_range(ranges[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=shards) as pool:
-            parts = list(pool.map(run_range, ranges))
-    agg = np.sum(parts, axis=0)
-    slot = {name: i for i, name in enumerate(PREDICATES)}
-    counts = {name: int(agg[slot[name]]) for name in PREDICATES if name in names}
+    acc = np.zeros(_kernels.N_PREDICATES, np.int64)
+    for lo, hi in zip(bounds, bounds[1:]):
+        _kernels.count_range(n, k, lo, hi, acc)
+    counts = {name: int(acc[i]) for i, name in enumerate(PREDICATES) if name in names}
     elapsed = time.perf_counter() - start
-
-    if verify:
-        ce = verify_sweep(n, ks=(k,))
-        if ce is not None:
-            raise VerificationFailed(
-                f"property {ce.property_name} fails on {ce.pref} (k={ce.k})", ce
-            )
     return CountReport(n, k, total, counts, elapsed, shards)
 
 

@@ -113,7 +113,7 @@ def test_criterion_4_perm_invariant_fast():
 
 
 def test_criterion_5_shard_determinism():
-    """sweep(n=7, k=2) is bit-identical for 1, 2, 4, 8 workers."""
+    """sweep(n=7, k=2) is bit-identical for 1, 2, 4, 8 shard counts."""
     t0 = time.perf_counter()
     reports = [npf.sweep(7, 2, shards=w) for w in (1, 2, 4, 8)]
     for report in reports[1:]:

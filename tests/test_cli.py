@@ -291,6 +291,14 @@ class TestCount:
         result = runner.invoke(main, ["count", "-n", "9", "-k", "0"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_negative_k_max_exits_2(self, runner, fmt):
+        args = ["count", "-n", "3", "--k-max", "-1", "--format", fmt]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "Error: need --k-max >= 0, got -1" in result.stderr
+
 
 class TestSweep:
     def test_verify_clean(self, runner):
@@ -305,6 +313,27 @@ class TestSweep:
         doc = json.loads(result.output)
         validate(doc, "sweep")
         assert doc == {"verified": True, "counterexample": None}
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--k-max", "-1"], "need --k-max >= 0, got -1"),
+            (["--k-max", "-1", "--verify"], "need --k-max >= 1 with --verify, got -1"),
+            (["--k-max", "0", "--verify"], "need --k-max >= 1 with --verify, got 0"),
+        ],
+        ids=["negative", "negative-verify", "zero-verify"],
+    )
+    def test_bad_k_max_exits_2(self, runner, json_flag, extra, message):
+        result = runner.invoke(main, ["sweep", "--n-max", "3", *extra, *json_flag])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert f"Error: {message}" in result.stderr
+
+    def test_verify_with_k_max_one(self, runner):
+        result = runner.invoke(main, ["sweep", "--n-max", "3", "--k-max", "1", "--verify"])
+        assert result.exit_code == 0
+        assert result.output.splitlines()[-1] == "verified: no counterexamples"
 
     def test_counts_listing(self, runner):
         result = runner.invoke(main, ["sweep", "--n-max", "2"])
@@ -438,9 +467,9 @@ class TestLazyImports:
         assert [step["exit"] for step in steps[1:]] == [0, 0, 0, 0, 2, 0, 0]
         for args, step in zip(commands[:4], steps[1:5]):
             assert step["output"] == runner.invoke(main, args).output
-        # counting loads numpy and the kernels; the thread pool only for shards
+        # counting loads numpy and the kernels, and never a thread pool
         assert steps[6]["loaded"] == ["numpy", "naplespf._kernels"]
-        assert steps[7]["loaded"] == list(_LAZY_MODULES)
+        assert steps[7]["loaded"] == ["numpy", "naplespf._kernels"]
         docs = [_without_elapsed(json.loads(step["output"])) for step in steps[6:]]
         assert docs[0] == _without_elapsed(json.loads(runner.invoke(main, count).output))
         assert docs[1]["reports"] == [

@@ -1,5 +1,6 @@
 import ast
 import itertools
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -96,9 +97,21 @@ class TestCounting:
         with pytest.raises(ValueError):
             sweep(3, 1, shards=0)
 
-    def test_verify_flag_passes_clean(self):
-        report = sweep(3, 1, verify=True)
-        assert report.counts["k_naples"] == 24
+    def test_shards_count_in_calling_thread_in_rank_order(self, monkeypatch):
+        expected = sweep(5, 2).counts
+        calls = []
+        count_range = _kernels.count_range
+
+        def recording(n, k, start, stop, counts):
+            calls.append((threading.get_ident(), start, stop))
+            count_range(n, k, start, stop, counts)
+
+        monkeypatch.setattr(_kernels, "count_range", recording)
+        report = sweep(5, 2, shards=3)
+        bounds = sweeps._shard_bounds(5**5, 3)
+        caller = threading.get_ident()
+        assert calls == [(caller, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        assert report.counts == expected
 
 
 class TestPermInvariantFast:
