@@ -58,7 +58,7 @@ class WitnessCertificate:
     shifted_restriction: ParkingPreference
 
 
-# find_witness, or a cache in front of it
+# find_witness, or a per-preference memo of it (sweeps._Case.witness)
 _Lookup = Callable[..., WitnessCertificate | None]
 
 

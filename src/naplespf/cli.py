@@ -15,6 +15,7 @@ import click
 
 from .characterize import enumerate_witnesses, find_witness
 from .classify import (
+    _REARRANGEMENT_CAP,
     is_complete,
     is_k_naples,
     is_parking_function,
@@ -25,6 +26,7 @@ from .core import ParkingPreference, decompose_at, excess
 from .errors import ParkingError
 from .simulator import park_with_trace
 from .sweeps import (
+    DEFAULT_MAX_N,
     PREDICATES,
     count_perm_invariant_fast,
     find_monotone_window_violation,
@@ -378,9 +380,12 @@ def sweep_cmd(n_max: int, k_max: int | None, verify: bool, as_json: bool) -> Non
     """Sweep all lengths up to n-max; with --verify, hunt for counterexamples."""
     if n_max < 1:
         raise click.UsageError(f"need n-max >= 1, got {n_max}")
+    suffix = " with --verify" if verify else ""
+    cap = _REARRANGEMENT_CAP if verify else DEFAULT_MAX_N
+    if n_max > cap:
+        raise click.UsageError(f"need --n-max <= {cap}{suffix}, got {n_max}")
     floor = 1 if verify else 0  # --verify checks windows 1..k-max
     if k_max is not None and k_max < floor:
-        suffix = " with --verify" if verify else ""
         raise click.UsageError(f"need --k-max >= {floor}{suffix}, got {k_max}")
     if not verify:
         doc = []

@@ -21,7 +21,6 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .characterize import (
@@ -34,6 +33,7 @@ from .characterize import (
     find_witness,
 )
 from .classify import (
+    _REARRANGEMENT_CAP,
     _bounds_hold,
     _equivalences,
     _spot_bounds,
@@ -114,9 +114,9 @@ def sweep(
 ) -> CountReport:
     """Count predicate hits over all n^n preferences under window k.
 
-    ``shards`` splits the rank space into that many contiguous ranges,
-    counted in rank order in the calling thread; the counts are identical
-    for any shard count.  Counting is numpy code over blocks of ranks.
+    ``shards`` splits the rank space into that many contiguous ranges (at
+    most n^n, one rank each), counted in rank order in the calling thread;
+    the counts are identical for any shard count.  Counting is numpy code over blocks of ranks.
     n is capped at 8, or at 9 with ``allow_large``.
 
     >>> sweep(3, 1).counts["k_naples"]
@@ -142,7 +142,7 @@ def sweep(
 
     start = time.perf_counter()
     total = n**n
-    bounds = _shard_bounds(total, shards)
+    bounds = _shard_bounds(total, min(shards, total))  # more only adds empty ranges
     acc = np.zeros(_kernels.N_PREDICATES, np.int64)
     for lo, hi in zip(bounds, bounds[1:]):
         _kernels.count_range(n, k, lo, hi, acc)
@@ -193,12 +193,14 @@ def count_perm_invariant_fast(n: int, k: int, by_class: bool = False) -> int:
 
 # --------------------------------------------------------------------------
 # Property registry: every structural fact the package relies on, phrased as
-# a per-preference check against brute force.  A fact that a public check_*
-# or verify_* function also states has one body in classify or characterize:
-# the property feeds it the cached outcome, profile and witnesses below,
-# while the public function computes its own and raises VerificationFailed.
-# The other properties re-derive what they need from the parking process and
-# the excess values.
+# a check of one preference record (_Case) under a window k against brute
+# force.  verify_sweep builds one record per preference and drops it after
+# the last property, so what several properties share (outcomes, excess
+# profile, witnesses) is computed once per preference and never outlives
+# the call.  A fact that a public check_* or verify_* function also states
+# has one body in classify or characterize: the property feeds it the
+# record's outcome, profile and witness lookup, while the public function
+# computes its own and raises VerificationFailed.
 # --------------------------------------------------------------------------
 
 
@@ -217,31 +219,39 @@ class MonotoneWindowViolation:
     car: int  # 1-based car whose window was bumped
 
 
-@lru_cache(maxsize=1 << 16)
-def _outcome(pref: ParkingPreference, k: int) -> ParkingOutcome:
-    return park_uniform(pref, k)
+class _Case:
+    """One preference's excess profile, outcomes and witnesses, each made once."""
+
+    def __init__(self, pref: ParkingPreference):
+        self.pref = pref
+        self.prof = excess(pref)
+        self.complete = pref.n >= 2 and self.prof.intervals == ((2, pref.n),)
+        self._outs: dict[int, ParkingOutcome] = {}
+        self._certs: dict[tuple, WitnessCertificate | None] = {}
+
+    def out(self, k: int) -> ParkingOutcome:
+        if k not in self._outs:
+            self._outs[k] = park_uniform(self.pref, k)
+        return self._outs[k]
+
+    def witness(
+        self, pref: ParkingPreference, k: int, interval: tuple[int, int]
+    ) -> WitnessCertificate | None:
+        # pref is always self.pref; it is taken to fit characterize._Lookup
+        key = (k, interval)
+        if key not in self._certs:
+            self._certs[key] = find_witness(pref, k, interval)
+        return self._certs[key]
 
 
-@lru_cache(maxsize=1 << 16)
-def _profile(pref: ParkingPreference):
-    return excess(pref)
+def _prop_easy_characterization(c: _Case, k: int) -> bool:
+    return c.prof.is_empty == c.out(0).all_parked
 
 
-@lru_cache(maxsize=1 << 16)
-def _witness(
-    pref: ParkingPreference, k: int, interval: tuple[int, int]
-) -> WitnessCertificate | None:
-    return find_witness(pref, k, interval)
-
-
-def _prop_easy_characterization(pref: ParkingPreference, k: int) -> bool:
-    return _profile(pref).is_empty == _outcome(pref, 0).all_parked
-
-
-def _prop_excess_formulas(pref: ParkingPreference, k: int) -> bool:
-    m = multiplicities(pref)
-    n = pref.n
-    vals = _profile(pref).values
+def _prop_excess_formulas(c: _Case, k: int) -> bool:
+    m = multiplicities(c.pref)
+    n = c.pref.n
+    vals = c.prof.values
     if vals[0] != 0:
         return False
     for j in range(1, n + 1):
@@ -256,57 +266,54 @@ def _prop_excess_formulas(pref: ParkingPreference, k: int) -> bool:
     return True
 
 
-def _prop_elementary_intervals(pref: ParkingPreference, k: int) -> bool:
-    prof = _profile(pref)
-    m = multiplicities(pref)
-    for p, q in prof.intervals:
+def _prop_elementary_intervals(c: _Case, k: int) -> bool:
+    m = multiplicities(c.pref)
+    for p, q in c.prof.intervals:
         if p < 2:
             return False
-        if prof.u(p) != 1 or prof.u(p - 1) != 0:
+        if c.prof.u(p) != 1 or c.prof.u(p - 1) != 0:
             return False
         if m[p - 2] != 0 or m[q - 1] < 2:
             return False
     return True
 
 
-def _prop_decomposition_excess(pref: ParkingPreference, k: int) -> bool:
-    prof = _profile(pref)
-    for j in range(1, pref.n + 1):
-        if prof.u(j) != 0:
+def _prop_decomposition_excess(c: _Case, k: int) -> bool:
+    for j in range(1, c.pref.n + 1):
+        if c.prof.u(j) != 0:
             continue
-        lower, upper = decompose_at(pref, j)
-        if lower is not None and excess(lower).values != prof.values[: j - 1]:
+        lower, upper = decompose_at(c.pref, j)
+        if lower is not None and excess(lower).values != c.prof.values[: j - 1]:
             return False
-        if excess(upper).values != prof.values[j - 1 :]:
+        if excess(upper).values != c.prof.values[j - 1 :]:
             return False
     return True
 
 
-def _prop_necessary_excess_bound(pref: ParkingPreference, k: int) -> bool:
-    if not _outcome(pref, k).all_parked:
+def _prop_necessary_excess_bound(c: _Case, k: int) -> bool:
+    if not c.out(k).all_parked:
         return True
-    return _profile(pref).max_excess <= k
+    return c.prof.max_excess <= k
 
 
-def _prop_excess_bound_sufficient(pref: ParkingPreference, k: int) -> bool:
+def _prop_excess_bound_sufficient(c: _Case, k: int) -> bool:
     # Deliberately false: the excess bound does not imply parking.
-    if _profile(pref).max_excess > k:
+    if c.prof.max_excess > k:
         return True
-    return _outcome(pref, k).all_parked
+    return c.out(k).all_parked
 
 
-def _prop_nonincreasing_sufficiency(pref: ParkingPreference, k: int) -> bool:
-    if any(a < b for a, b in zip(pref.prefs, pref.prefs[1:])):
+def _prop_nonincreasing_sufficiency(c: _Case, k: int) -> bool:
+    if any(a < b for a, b in zip(c.pref.prefs, c.pref.prefs[1:])):
         return True
-    if _profile(pref).max_excess > k:
+    if c.prof.max_excess > k:
         return True
-    return _outcome(pref, k).all_parked
+    return c.out(k).all_parked
 
 
-def _prop_drive_forward(pref: ParkingPreference, k: int) -> bool:
-    out = _outcome(pref, k)
-    prof = _profile(pref)
-    pairs = list(zip(pref.prefs, out.spot_of))
+def _prop_drive_forward(c: _Case, k: int) -> bool:
+    out = c.out(k)
+    pairs = list(zip(c.pref.prefs, out.spot_of))
     for a, s in pairs:
         if s is None or s <= a:
             continue
@@ -314,47 +321,43 @@ def _prop_drive_forward(pref: ParkingPreference, k: int) -> bool:
         for a2, s2 in pairs:
             if a2 >= s and s2 is not None and s2 <= s:
                 return False
-        if out.all_parked and prof.u(s) > -1:
+        if out.all_parked and c.prof.u(s) > -1:
             return False
     return True
 
 
-def _prop_p_minus_1(pref: ParkingPreference, k: int) -> bool:
-    out = _outcome(pref, k)
-    return _spots_below_filled(out, _profile(pref)) == out.all_parked
+def _prop_p_minus_1(c: _Case, k: int) -> bool:
+    out = c.out(k)
+    return _spots_below_filled(out, c.prof) == out.all_parked
 
 
-def _is_complete(pref: ParkingPreference) -> bool:
-    return pref.n >= 2 and _profile(pref).intervals == ((2, pref.n),)
-
-
-def _prop_char_complete(pref: ParkingPreference, k: int) -> bool:
-    if not _is_complete(pref):
+def _prop_char_complete(c: _Case, k: int) -> bool:
+    if not c.complete:
         return True
-    return _equivalences(pref, _outcome(pref, k)).agree
+    return _equivalences(c.pref, c.out(k)).agree
 
 
-def _prop_quantitative_bound(pref: ParkingPreference, k: int) -> bool:
-    out = _outcome(pref, k)
-    rows = _spot_bounds(pref, out, _profile(pref)) if _is_complete(pref) else ()
+def _prop_quantitative_bound(c: _Case, k: int) -> bool:
+    out = c.out(k)
+    rows = _spot_bounds(c.pref, out, c.prof) if c.complete else ()
     return _bounds_hold(rows, out.all_parked)
 
 
-def _prop_restricted_translated(pref: ParkingPreference, k: int) -> bool:
-    zeros = [j for j, u in enumerate(_profile(pref).values[1:], 2) if u == 0]
-    parked = _outcome(pref, k).all_parked
-    return not parked or all(_upper_part_parks(pref, k, j) for j in zeros)
+def _prop_restricted_translated(c: _Case, k: int) -> bool:
+    zeros = [j for j, u in enumerate(c.prof.values[1:], 2) if u == 0]
+    parked = c.out(k).all_parked
+    return not parked or all(_upper_part_parks(c.pref, k, j) for j in zeros)
 
 
-def _prop_main_characterization(pref: ParkingPreference, k: int) -> bool:
-    return _witnessed(pref, k, _profile(pref), _witness) == _outcome(pref, k).all_parked
+def _prop_main_characterization(c: _Case, k: int) -> bool:
+    return _witnessed(c.pref, k, c.prof, c.witness) == c.out(k).all_parked
 
 
-def _prop_witness_size(pref: ParkingPreference, k: int) -> bool:
-    if not _outcome(pref, k).all_parked:
+def _prop_witness_size(c: _Case, k: int) -> bool:
+    if not c.out(k).all_parked:
         return True
-    for p, q in _profile(pref).intervals:
-        cert = _witness(pref, k, (p, q))
+    for p, q in c.prof.intervals:
+        cert = c.witness(c.pref, k, (p, q))
         if cert is None:
             return False
         if len(cert.indices) < q - p + 2:
@@ -362,34 +365,34 @@ def _prop_witness_size(pref: ParkingPreference, k: int) -> bool:
     return True
 
 
-def _prop_search_matches_extraction(pref: ParkingPreference, k: int) -> bool:
-    if pref.n > _SUBSET_SEARCH_CAP:
+def _prop_search_matches_extraction(c: _Case, k: int) -> bool:
+    if c.pref.n > _SUBSET_SEARCH_CAP:
         return True
-    for p, q in _profile(pref).intervals:
-        found = next(_witness_subsets(pref.prefs, k, p, q), None) is not None
-        if found != (_witness(pref, k, (p, q)) is not None):
+    for p, q in c.prof.intervals:
+        found = next(_witness_subsets(c.pref.prefs, k, p, q), None) is not None
+        if found != (c.witness(c.pref, k, (p, q)) is not None):
             return False
     return True
 
 
-def _prop_tail_lemma(pref: ParkingPreference, k: int) -> bool:
-    if not _is_complete(pref):
+def _prop_tail_lemma(c: _Case, k: int) -> bool:
+    if not c.complete:
         return True
-    out = _outcome(pref, k)
+    out = c.out(k)
     if not out.all_parked:
         return True
-    return out.spot_of[-1] == 1 and pref.prefs[-1] <= k + 1
+    return out.spot_of[-1] == 1 and c.pref.prefs[-1] <= k + 1
 
 
-def _prop_summary_theorem(pref: ParkingPreference, k: int) -> bool:
-    naples = _outcome(pref, k).all_parked
-    return _summary(pref, k, naples, _profile(pref), _witness).consistent
+def _prop_summary_theorem(c: _Case, k: int) -> bool:
+    naples = c.out(k).all_parked
+    return _summary(c.pref, k, naples, c.prof, c.witness).consistent
 
 
-def _prop_perm_invariance(pref: ParkingPreference, k: int) -> bool:
-    structural = is_permutation_invariant(pref, k)
+def _prop_perm_invariance(c: _Case, k: int) -> bool:
+    structural = is_permutation_invariant(c.pref, k)
     brute = all(
-        _outcome(sigma, k).all_parked for sigma in distinct_rearrangements(pref)
+        park_uniform(sigma, k).all_parked for sigma in distinct_rearrangements(c.pref)
     )
     return structural == brute
 
@@ -398,7 +401,7 @@ def _prop_perm_invariance(pref: ParkingPreference, k: int) -> bool:
 class SweepProperty:
     name: str
     doc: str
-    check: Callable[[ParkingPreference, int], bool]
+    check: Callable[[_Case, int], bool]
     k_min: int = 0
     k_independent: bool = False
 
@@ -552,7 +555,11 @@ def verify_sweep(
 
     ``ks`` defaults to 1..n.  Permutation invariance is checked once per
     multiset (both sides only depend on it); everything else runs per
-    preference.  Returns the first counterexample or None.
+    preference, on one record that computes each outcome, the excess and
+    each witness once and is dropped before the next preference.  Returns
+    the first counterexample or None.  With ``perm_invariance`` selected, n
+    above 7 raises :class:`~naplespf.errors.SizeLimitExceeded` before any
+    preference is visited.
     """
     if ks is None:
         ks = range(1, n + 1)
@@ -560,16 +567,20 @@ def verify_sweep(
     unknown = [name for name in names if name not in PROPERTIES]
     if unknown:
         raise UnknownProperty(f"unknown properties: {unknown}")
+    if "perm_invariance" in names and n > _REARRANGEMENT_CAP:
+        raise SizeLimitExceeded(
+            f"n={n} above the perm_invariance rearrangement cap {_REARRANGEMENT_CAP}"
+        )
 
     def first_failure(
         tuples: Iterable[tuple[int, ...]], props: list[SweepProperty]
     ) -> Counterexample | None:
         for tup in tuples:
-            pref = ParkingPreference(tup)
+            case = _Case(ParkingPreference(tup))
             for prop in props:
                 for k in (prop.k_min,) if prop.k_independent else ks:
-                    if k >= prop.k_min and not prop.check(pref, k):
-                        return Counterexample(pref, n, k, prop.name)
+                    if k >= prop.k_min and not prop.check(case, k):
+                        return Counterexample(case.pref, n, k, prop.name)
         return None
 
     per_pref = [PROPERTIES[name] for name in names if name != "perm_invariance"]

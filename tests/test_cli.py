@@ -330,6 +330,35 @@ class TestSweep:
         assert result.stdout == ""
         assert f"Error: {message}" in result.stderr
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--n-max", "9"], "need --n-max <= 8, got 9"),
+            (["--n-max", "8", "--verify"], "need --n-max <= 7 with --verify, got 8"),
+        ],
+        ids=["count", "verify"],
+    )
+    def test_n_max_above_cap_exits_2_before_work(
+        self, runner, monkeypatch, json_flag, extra, message
+    ):
+        import naplespf.cli as cli_module
+        from naplespf import sweeps
+
+        calls = []
+
+        def record(*args, **kwargs):
+            calls.append(args)
+
+        monkeypatch.setattr(cli_module, "sweep", record)
+        monkeypatch.setattr(cli_module, "verify_sweep", record)
+        monkeypatch.setattr(sweeps, "iter_preferences", record)
+        result = runner.invoke(main, ["sweep", *extra, *json_flag])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert f"Error: {message}" in result.stderr
+        assert calls == []
+
     def test_verify_with_k_max_one(self, runner):
         result = runner.invoke(main, ["sweep", "--n-max", "3", "--k-max", "1", "--verify"])
         assert result.exit_code == 0

@@ -97,8 +97,9 @@ class TestCounting:
         with pytest.raises(ValueError):
             sweep(3, 1, shards=0)
 
-    def test_shards_count_in_calling_thread_in_rank_order(self, monkeypatch):
-        expected = sweep(5, 2).counts
+    @staticmethod
+    def record_count_range(monkeypatch):
+        """Make count_range log (thread id, start, stop) of each call."""
         calls = []
         count_range = _kernels.count_range
 
@@ -107,11 +108,24 @@ class TestCounting:
             count_range(n, k, start, stop, counts)
 
         monkeypatch.setattr(_kernels, "count_range", recording)
+        return calls
+
+    def test_shards_count_in_calling_thread_in_rank_order(self, monkeypatch):
+        expected = sweep(5, 2).counts
+        calls = self.record_count_range(monkeypatch)
         report = sweep(5, 2, shards=3)
         bounds = sweeps._shard_bounds(5**5, 3)
         caller = threading.get_ident()
         assert calls == [(caller, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
         assert report.counts == expected
+
+    def test_shards_above_total_count_no_empty_ranges(self, monkeypatch):
+        expected = sweep(3, 1).counts
+        calls = self.record_count_range(monkeypatch)
+        report = sweep(3, 1, shards=10**6)
+        assert [(lo, hi) for _, lo, hi in calls] == [(r, r + 1) for r in range(27)]
+        assert report.counts == expected
+        assert report.shards == 10**6
 
 
 class TestPermInvariantFast:
@@ -214,6 +228,27 @@ class TestVerifySweep:
         with pytest.raises(UnknownProperty):
             verify_sweep(2, properties=("bogus",))
 
+    def test_rearrangement_cap_raises_before_any_preference(self, monkeypatch):
+        visited = []
+
+        class Visited(Exception):
+            pass
+
+        def recording(n):
+            visited.append(n)
+            raise Visited
+
+        monkeypatch.setattr(sweeps, "iter_preferences", recording)
+        with pytest.raises(SizeLimitExceeded, match="rearrangement cap 7"):
+            verify_sweep(8)
+        with pytest.raises(SizeLimitExceeded):
+            verify_sweep(8, properties=["perm_invariance"])
+        assert visited == []
+        # the cap belongs to perm_invariance alone
+        with pytest.raises(Visited):
+            verify_sweep(8, properties=["easy_characterization"])
+        assert visited == [8]
+
     def test_finds_planted_counterexample(self):
         ce = verify_sweep(3, ks=(1,), properties=("excess_bound_is_sufficient",))
         assert ce is not None and ce.pref.prefs == (2, 3, 3)
@@ -235,7 +270,7 @@ class TestVerifySweep:
                 tuple(range(1, pref.n + 1))
             ),
         }[planted]
-        monkeypatch.setattr(sweeps, "_outcome", fake)
+        monkeypatch.setattr(sweeps, "park_uniform", fake)
         ce = verify_sweep(4, properties=[name])
         assert ce == Counterexample(ParkingPreference(first), 4, 1, name)
 
@@ -243,7 +278,7 @@ class TestVerifySweep:
         # no witness anywhere, and the restricted process agrees; (1,1,4,4)
         # parks with window 1 and its one interval [4,4] is short, so only
         # the clause that short intervals hold for free catches it
-        monkeypatch.setattr(sweeps, "_witness", lambda *a: None)
+        monkeypatch.setattr(sweeps, "find_witness", lambda *a: None)
         monkeypatch.setattr(
             characterize, "restricted_spot_before_occupied", lambda *a: False
         )
@@ -254,8 +289,8 @@ class TestVerifySweep:
 
     def test_witness_size_bound_fails_on_failed_recheck(self, monkeypatch):
         # the property leaves the certificate check to find_witness, which
-        # must still run it on every (uncached) witness
-        sweeps._witness.cache_clear()
+        # must run it on every witness, also after an earlier clean sweep
+        assert verify_sweep(3, properties=["witness_size_bound"]) is None
         monkeypatch.setattr(characterize, "check_certificate", lambda *a: False)
         with pytest.raises(VerificationFailed):
             verify_sweep(3, properties=["witness_size_bound"])
