@@ -84,7 +84,6 @@ from .sweeps import (
     find_counterexample,
     find_monotone_window_violation,
     iter_preferences,
-    rank_to_pref,
     sweep,
     verify_sweep,
 )

@@ -1,20 +1,16 @@
-"""Numpy block kernels for the exhaustive sweeps.
+"""Numpy block kernels for the counting sweeps.
 
-Counting (:func:`count_range`) and the monotone-window check
-(:func:`monotone_window_violation`) decode blocks of odometer ranks with
-:func:`_digits` and park each block with :func:`park_block`, under one window
-for every car or a window per car.  :func:`naplespf.simulator.park` is the
-scalar reference for the parking rule written here.
+:func:`count_range` decodes blocks of odometer ranks with :func:`_digits`
+and parks each block with :func:`park_block`, under one window for every
+car.  :func:`naplespf.simulator.park` is the scalar reference for the
+parking rule written here.
 
 Street occupancy lives in an int64 bitmask, so these kernels are limited to
-n <= 62 spots; :func:`count_range` and :func:`monotone_window_violation`
-raise ``ValueError`` beyond that, and the sweep drivers cap n far below it
-anyway.
+n <= 62 spots; :func:`count_range` raises ``ValueError`` beyond that, and
+the sweep drivers cap n far below it anyway.
 
-:mod:`naplespf.sweeps` imports this module, and with it numpy, on the first
-counting call or monotone-window check; ``import naplespf``, the
-single-preference commands and :func:`naplespf.sweeps.verify_sweep` do not
-load it.
+:mod:`naplespf.sweeps` imports this module, and with it numpy, only on the
+first counting call.
 """
 
 from __future__ import annotations
@@ -33,57 +29,45 @@ IDX_COMPLETE_K_NAPLES = 3
 IDX_PERM_INVARIANT = 4
 N_PREDICATES = 5
 
-#: Ranks per block in count_range and monotone_window_violation; one block
-#: is held in memory at a time.
+#: Ranks per block in count_range; one block is held in memory at a time.
 BLOCK = 2048
 #: Largest n whose spots 1..n fit in an int64 occupancy bitmask.
 MAX_BITMASK_N = 62
 
 
-def _digits(lo, size, radices):
-    """Mixed-radix digits of ranks lo .. lo + size - 1, one row per digit.
+def _digits(lo, size, n):
+    """The n base-n digits of ranks lo .. lo + size - 1, one row per digit.
 
     The most significant digit comes first, so the last row runs fastest.
     Carrying from ``lo`` keeps the decode exact for ranks past int64.
     """
-    digits = np.empty((len(radices), size), np.int8)
+    digits = np.empty((n, size), np.int8)
     carry = np.arange(size, dtype=np.int64)
     r = lo
-    for i in range(len(radices) - 1, -1, -1):
-        radix = radices[i]
-        carry += r % radix
-        r //= radix
-        digits[i] = carry % radix
-        carry //= radix
+    for i in range(n - 1, -1, -1):
+        carry += r % n
+        r //= n
+        digits[i] = carry % n
+        carry //= n
     return digits
 
 
-def park_block(prefs, windows):
+def park_block(prefs, k):
     """Which columns of an (n, B) block of preferences park every car.
 
-    ``windows`` is one window k for every car, or an (n, B) array of
-    per-car windows.  Each column keeps one int64 bitmask of free spots: a
-    car takes its preferred spot, else the nearest free spot at most its
-    window behind, probed as ``(bit >> t) & free`` for t = 1, 2, ..., else
+    Every car has window k.  Each column keeps one int64 bitmask of free
+    spots: a car takes its preferred spot, else the nearest free spot at
+    most k behind, probed as ``(bit >> t) & free`` for t = 1, 2, ..., else
     the lowest free spot ahead, ``f & -f``.
     """
     n, size = prefs.shape
     free = np.full(size, (1 << (n + 1)) - 2, np.int64)  # bits 1..n
     parked = np.ones(size, bool)
-    per_car = np.ndim(windows) == 2
     for i in range(n):
         bit = np.left_shift(1, prefs[i], dtype=np.int64)
         spot = bit & free
-        if per_car:
-            w = windows[i]
-            # free spots at or above a - w; bit >> w is 0 once w >= a
-            back = free & -np.maximum(bit >> w, 1)
-            reach = int(w.max(initial=0))
-        else:
-            back = free
-            reach = windows
-        for t in range(1, min(reach, n - 1) + 1):
-            spot = np.where(spot == 0, (bit >> t) & back, spot)
+        for t in range(1, min(k, n - 1) + 1):
+            spot = np.where(spot == 0, (bit >> t) & free, spot)
         ahead = free & -(bit << 1)
         spot = np.where(spot == 0, ahead & -ahead, spot)  # lowest free spot ahead
         parked &= spot != 0
@@ -108,7 +92,7 @@ def count_range(n, k, start, stop, counts):
     for lo in range(start, stop, BLOCK):
         size = min(BLOCK, stop - lo)
         # One row per car, last car fastest.
-        prefs = _digits(lo, size, (n,) * n) + 1
+        prefs = _digits(lo, size, n) + 1
         # u_j = (j - 1) - #{cars preferring a spot < j}, one position at a time.
         # int8 holds every |u_j| and run length, since n <= 62.
         u = np.zeros(size, np.int8)
@@ -130,35 +114,3 @@ def count_range(n, k, start, stop, counts):
         counts[IDX_COMPLETE] += np.count_nonzero(is_complete)
         counts[IDX_COMPLETE_K_NAPLES] += np.count_nonzero(is_complete & parked)
         counts[IDX_PERM_INVARIANT] += np.count_nonzero(max_run <= k)
-
-
-def monotone_window_violation(n):
-    """Search [n]^n x all window vectors for a monotonicity violation.
-
-    For every preference and every window vector in [0, n]^n under which all
-    cars park, bumping a single car's window by one must keep everyone
-    parked.  Rows are ranks pref_rank * W + window_rank, W = (n + 1)^n, both
-    in odometer order, visited in blocks of :data:`BLOCK`.  Returns the
-    first (pref_rank * W + window_rank) * n + car_index that breaks this,
-    -1 when none does.  Exhaustive, so only sensible for small n.
-    """
-    if not 1 <= n <= MAX_BITMASK_N:
-        raise ValueError(f"need 1 <= n <= {MAX_BITMASK_N}, got n={n}")
-    radices = (n,) * n + (n + 1,) * n
-    total = n**n * (n + 1) ** n
-    for lo in range(0, total, BLOCK):
-        digits = _digits(lo, min(BLOCK, total - lo), radices)
-        prefs = digits[:n] + 1
-        windows = digits[n:]
-        base = park_block(prefs, windows)
-        broken = np.empty((n, base.size), bool)
-        for c in range(n):
-            windows[c] += 1
-            broken[c] = base & ~park_block(prefs, windows)
-            windows[c] -= 1
-        rows = np.flatnonzero(broken.any(axis=0))
-        if rows.size:
-            row = int(rows[0])
-            car = int(np.argmax(broken[:, row]))
-            return (lo + row) * n + car
-    return -1

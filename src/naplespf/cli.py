@@ -191,6 +191,11 @@ def classify(preference: str, window: int, as_json: bool, expect: str | None) ->
     pref = _parse_preference(preference)
     if window < 0:
         raise click.UsageError(f"backward window must be >= 0, got {window}")
+    name = None if expect is None else expect.strip().lower().replace("-", "_")
+    if name is not None and name not in PREDICATES:
+        raise click.UsageError(
+            f"unknown predicate {expect!r}; choose from {', '.join(PREDICATES)}"
+        )
     doc = _classification(pref, window)
     if as_json:
         click.echo(json.dumps(doc))
@@ -202,14 +207,8 @@ def classify(preference: str, window: int, as_json: bool, expect: str | None) ->
         intervals = " ".join(f"[{p},{q}]" for p, q in doc["critical_intervals"])
         click.echo(f"critical_intervals: {intervals or '-'}")
         click.echo(f"min_naples_k: {doc['min_naples_k']}")
-    if expect is not None:
-        name = expect.strip().lower().replace("-", "_")
-        if name not in PREDICATES:
-            raise click.UsageError(
-                f"unknown predicate {expect!r}; choose from {', '.join(PREDICATES)}"
-            )
-        if not doc[name]:
-            sys.exit(_EXIT_PREDICATE_FALSE)
+    if name is not None and not doc[name]:
+        sys.exit(_EXIT_PREDICATE_FALSE)
 
 
 def _witness_doc(cert) -> dict:
@@ -408,7 +407,7 @@ def sweep_cmd(n_max: int, k_max: int | None, verify: bool, as_json: bool) -> Non
             )
         if not as_json:
             click.echo(f"n={n}: all invariants hold")
-    violation = find_monotone_window_violation(min(n_max, 4))
+    violation = find_monotone_window_violation(n_max)
     if violation is not None:
         _exit_counterexample(
             violation.pref,

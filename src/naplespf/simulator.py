@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import ParkingPreference
-from .errors import LengthMismatch
+from .errors import InvalidPreference, LengthMismatch
 
 __all__ = [
     "UNPARKED",
@@ -40,7 +40,7 @@ class ParkingOutcome:
 
     @property
     def all_parked(self) -> bool:
-        return all(s is not None for s in self.spot_of)
+        return None not in self.spot_of
 
     def occupant_of(self) -> dict[int, int]:
         """Map from occupied spot to the (1-based) car parked there."""
@@ -90,38 +90,46 @@ def as_windows(k: int | Sequence[int], n: int) -> tuple[int, ...]:
     return win
 
 
+def _step(occ: int, a: int, k: int, n_spots: int) -> int | None:
+    """Spot taken by a car preferring ``a`` with window ``k``, or None.
+
+    ``occ`` has bit s set for each taken spot s.  The car takes its
+    preferred spot, else the nearest free spot at most k behind it, else the
+    first free spot ahead.  :func:`_run` and the monotone-window search call it.
+    """
+    if not occ >> a & 1:
+        return a
+    for t in range(a - 1, max(1, a - k) - 1, -1):
+        if not occ >> t & 1:
+            return t
+    for t in range(a + 1, n_spots + 1):
+        if not occ >> t & 1:
+            return t
+    return None
+
+
 def _run(
     prefs: Sequence[int],
     windows: Sequence[int],
     n_spots: int,
     record: bool,
 ) -> tuple[list[int | None], ParkingTrace]:
-    free = [True] * (n_spots + 1)  # 1-based; index 0 unused
+    occ = 0
     spots: list[int | None] = []
     steps: list[CarStep] = []
-    for i, (a, k) in enumerate(zip(prefs, windows), start=1):
-        back: list[int] = []
-        fwd: list[int] = []
-        spot: int | None = None
-        if free[a]:
-            spot = a
-        else:
-            for t in range(a - 1, max(1, a - k) - 1, -1):
-                back.append(t)
-                if free[t]:
-                    spot = t
-                    break
-            if spot is None:
-                for t in range(a + 1, n_spots + 1):
-                    fwd.append(t)
-                    if free[t]:
-                        spot = t
-                        break
+    for a, k in zip(prefs, windows):
+        spot = _step(occ, a, k, n_spots)
         if spot is not None:
-            free[spot] = False
+            occ |= 1 << spot
         spots.append(spot)
-        if record:
-            steps.append(CarStep(i, a, tuple(back), tuple(fwd), spot))
+        if record:  # the probes follow from (a, k, spot)
+            back = fwd = ()
+            if spot is not None and spot < a:
+                back = tuple(range(a - 1, spot - 1, -1))
+            elif spot != a:
+                back = tuple(range(a - 1, max(1, a - k) - 1, -1))
+                fwd = tuple(range(a + 1, (spot or n_spots) + 1))
+            steps.append(CarStep(len(spots), a, back, fwd, spot))
     return spots, tuple(steps)
 
 
@@ -159,8 +167,10 @@ def park_cars(
 
     Unlike :func:`park` the number of cars need not match the street length;
     this is what restricted processes (a subset of the cars, full street)
-    run on.
+    run on.  Raises :class:`InvalidPreference` for a preference off the street.
     """
+    if prefs and not 1 <= min(prefs) <= max(prefs) <= n_spots:
+        raise InvalidPreference(f"preferences must lie in 1..{n_spots}")
     try:
         windows = (operator.index(windows),) * len(prefs)
     except TypeError:

@@ -10,9 +10,9 @@ contiguous rank ranges that are counted one after another in the calling
 thread; counts are plain integer sums, so results do not depend on the
 shard count.
 
-numpy and :mod:`naplespf._kernels` load on the first counting call or
-monotone-window check, not at import, so commands that only simulate or
-classify one preference, and :func:`verify_sweep`, never pay for them.
+numpy and :mod:`naplespf._kernels` load on the first counting call, not at
+import, so commands that only simulate or classify one preference,
+:func:`verify_sweep` and the monotone-window check never pay for them.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
+from . import simulator
 from .characterize import (
     _SUBSET_SEARCH_CAP,
     WitnessCertificate,
@@ -42,8 +43,8 @@ from .classify import (
     is_permutation_invariant,
 )
 from .core import ParkingPreference, decompose_at, excess, multiplicities
-from .errors import SizeLimitExceeded, UnknownProperty
-from .simulator import ParkingOutcome, park_uniform
+from .errors import SizeLimitExceeded, UnknownProperty, VerificationFailed
+from .simulator import ParkingOutcome, park, park_uniform
 
 __all__ = [
     "PREDICATES",
@@ -58,7 +59,6 @@ __all__ = [
     "verify_sweep",
     "find_monotone_window_violation",
     "iter_preferences",
-    "rank_to_pref",
 ]
 
 #: Predicates tallied by :func:`sweep`, in the kernel's slot order.
@@ -72,21 +72,12 @@ PREDICATES = (
 
 DEFAULT_MAX_N = 8
 HARD_MAX_N = 9  # 387 million preferences; allowed only behind allow_large
-MONOTONE_MAX_N = 5  # 24 million (preference, windows) rows, ~30 s on one core
+MONOTONE_MAX_N = 12  # n <= 12 take ~2 s together on one core; n = 13 alone ~4 s
 
 
 def iter_preferences(n: int) -> Iterator[tuple[int, ...]]:
     """All preferences of length n in odometer order (last entry fastest)."""
     return itertools.product(range(1, n + 1), repeat=n)
-
-
-def rank_to_pref(n: int, rank: int) -> tuple[int, ...]:
-    """Preference at a given odometer rank in [0, n^n)."""
-    digits = [0] * n
-    for i in range(n - 1, -1, -1):
-        digits[i] = rank % n + 1
-        rank //= n
-    return tuple(digits)
 
 
 @dataclass(frozen=True)
@@ -591,38 +582,86 @@ def verify_sweep(
     return ce
 
 
+def _monotone_search(n: int) -> MonotoneWindowViolation | None:
+    """Breadth-first search for a monotone-window violation at length n.
+
+    A state is the pair (S, T) of occupied-spot bitmasks that the base run
+    and the run with one car's window raised by one leave after the same
+    cars.  From (0, 0) each car tries every a in 1..n and w in 0..n, and the
+    bump w -> w + 1 only while S == T.  A violation is a car the base run
+    parks and the bumped run does not.  A state keeps its first parent; as
+    (S, S) precedes each (S, T) and a car is tried unbumped first, each
+    rebuilt path bumps one car.
+    """
+    step, cars, ws = simulator._step, range(1, n + 1), range(n + 2)
+    spots: dict[int, list] = {}  # occupied set -> [a - 1][w] -> spot taken
+    parent: dict[tuple[int, int], tuple | None] = {(0, 0): None}
+    frontier = [(0, 0)]
+    for _ in range(n):
+        layer = []
+        for state in frontier:
+            for occ in state:
+                if occ not in spots:
+                    spots[occ] = [[step(occ, a, w, n) for w in ws] for a in cars]
+            s, t = state
+            base, bumped = spots[s], spots[t]
+            for a, w in itertools.product(cars, range(n + 1)):
+                spot = base[a - 1][w]
+                if spot is None:
+                    continue
+                for bump in (0, 1) if s == t else (0,):
+                    other = bumped[a - 1][w + bump]
+                    if other is None:
+                        return _rebuild(parent, state, (a, w, bump), s | 1 << spot, n)
+                    nxt = (s | 1 << spot, t | 1 << other)
+                    if nxt not in parent:
+                        parent[nxt] = (state, (a, w, bump))
+                        layer.append(nxt)
+        frontier = layer
+    return None
+
+
+def _rebuild(parent: dict, state: tuple, last: tuple, occ: int, n: int):
+    """Walk the parents back to (0, 0) and finish the base run, which always
+    can: each remaining car prefers the lowest free spot, at window 0, and
+    parks there.  The triple is re-checked with :func:`park`."""
+    cars = [last]
+    while parent[state] is not None:
+        state, car = parent[state]
+        cars.append(car)
+    cars.reverse()
+    cars += [(j, 0, 0) for j in range(1, n + 1) if not occ >> j & 1]
+    prefs, windows, bumps = zip(*cars)
+    pref, car = ParkingPreference(prefs), 1 + bumps.index(1)
+    bumped = windows[: car - 1] + (windows[car - 1] + 1,) + windows[car:]
+    if not park(pref, windows).all_parked or park(pref, bumped).all_parked:
+        raise VerificationFailed(
+            f"monotone-window search hit {pref.prefs} with windows {windows} "
+            f"and car {car}, which the simulator does not confirm"
+        )
+    return MonotoneWindowViolation(pref, windows, car)
+
+
 def find_monotone_window_violation(
     n_max: int = 4,
 ) -> MonotoneWindowViolation | None:
-    """Exhaustively check that enlarging one car's window never breaks parking.
+    """Check that enlarging one car's window never breaks parking.
 
-    Covers every preference and every window vector for each n up to
-    ``n_max``; single-step monotonicity extends to pointwise-larger window
-    vectors by chaining increments.  Raises
-    :class:`~naplespf.errors.SizeLimitExceeded` above n_max = 5: n = 6
-    would visit 6^6 * 7^6, about 5.5e9 rows.
+    Covers every preference and every window vector in [0, n]^n for each n
+    up to ``n_max``, by :func:`_monotone_search` over pairs of occupied
+    sets; single-step monotonicity extends to pointwise-larger window
+    vectors by chaining increments.  A violation, if any, is the first the
+    search reaches, not the first in odometer order.  Raises
+    :class:`~naplespf.errors.SizeLimitExceeded` above n_max = 12.
     """
+    if n_max < 1:
+        raise ValueError(f"need n_max >= 1, got {n_max}")
     if n_max > MONOTONE_MAX_N:
         raise SizeLimitExceeded(
             f"n_max={n_max} above the monotone-window cap {MONOTONE_MAX_N}"
         )
-    from . import _kernels
-
     for n in range(1, n_max + 1):
-        code = int(_kernels.monotone_window_violation(n))
-        if code < 0:
-            continue
-        car = code % n
-        rest = code // n
-        radix_w = n + 1
-        total_w = radix_w**n
-        wr = rest % total_w
-        pr = rest // total_w
-        windows = [0] * n
-        for i in range(n - 1, -1, -1):
-            windows[i] = wr % radix_w
-            wr //= radix_w
-        return MonotoneWindowViolation(
-            ParkingPreference(rank_to_pref(n, pr)), tuple(windows), car + 1
-        )
+        violation = _monotone_search(n)
+        if violation is not None:
+            return violation
     return None

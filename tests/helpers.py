@@ -2,7 +2,8 @@
 
 ``naive_park`` restates the parking rule as a single candidate list per car
 and is kept deliberately separate from the library implementation, so the
-two can vet each other.  ``SRC`` is the directory that holds the package
+two can vet each other; ``naive_count_k_naples`` counts with the same
+candidate lists.  ``SRC`` is the directory that holds the package
 under test, for the ``PYTHONPATH`` of subprocess tests.
 """
 
@@ -16,9 +17,23 @@ from naplespf import ParkingPreference
 SRC = str(Path(naplespf.__file__).resolve().parents[1])
 
 
+def naive_candidates(a, k, n_spots):
+    """Spots a car preferring ``a`` with window ``k`` tries, in order: the
+    preferred spot, then the k nearest spots behind, then everything ahead."""
+    return (
+        [a]
+        + [a - d for d in range(1, k + 1) if a - d >= 1]
+        + list(range(a + 1, n_spots + 1))
+    )
+
+
+def naive_spot(taken, a, k, n_spots):
+    """First free spot in the car's candidate list, or None."""
+    return next((s for s in naive_candidates(a, k, n_spots) if s not in taken), None)
+
+
 def naive_park(prefs, windows, n_spots=None):
-    """Brute-force parking: first free spot among preferred, then the k
-    nearest spots behind, then everything ahead."""
+    """Brute-force parking, one candidate list per car."""
     if n_spots is None:
         n_spots = len(prefs)
     if isinstance(windows, int):
@@ -26,16 +41,61 @@ def naive_park(prefs, windows, n_spots=None):
     taken = set()
     result = []
     for a, k in zip(prefs, windows):
-        candidates = (
-            [a]
-            + [a - d for d in range(1, k + 1) if a - d >= 1]
-            + list(range(a + 1, n_spots + 1))
-        )
-        spot = next((s for s in candidates if s not in taken), None)
+        spot = naive_spot(taken, a, k, n_spots)
         if spot is not None:
             taken.add(spot)
         result.append(spot)
     return result
+
+
+def naive_count_k_naples(n, k):
+    """Number of k-Naples preferences of length n, by a DP over occupied sets.
+
+    Where a car parks depends only on the set of taken spots, its preference
+    and its window, so ``ways[S]`` counts the preference prefixes whose cars
+    all park and fill exactly S; each of the n^n preferences is never
+    visited one by one.
+    """
+    ways = {frozenset(): 1}
+    for _ in range(n):
+        after = {}
+        for taken, count in ways.items():
+            for a in range(1, n + 1):
+                spot = naive_spot(taken, a, k, n)
+                if spot is not None:
+                    key = taken | {spot}
+                    after[key] = after.get(key, 0) + count
+        ways = after
+    return sum(ways.values())
+
+
+def loop_all_park(prefs, windows, n_spots):
+    """Whether every car parks, one bitmask loop per car: the reference for
+    ``_kernels.park_block`` and for the monotone-window search."""
+    occ = 0
+    for i in range(len(prefs)):
+        a = prefs[i]
+        k = windows[i]
+        s = 0
+        if (occ >> a) & 1 == 0:
+            s = a
+        else:
+            lo = a - k
+            if lo < 1:
+                lo = 1
+            for t in range(a - 1, lo - 1, -1):
+                if (occ >> t) & 1 == 0:
+                    s = t
+                    break
+            if s == 0:
+                for t in range(a + 1, n_spots + 1):
+                    if (occ >> t) & 1 == 0:
+                        s = t
+                        break
+        if s == 0:
+            return False
+        occ |= 1 << s
+    return True
 
 
 def naive_excess(prefs):

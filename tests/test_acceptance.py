@@ -10,6 +10,7 @@ import time
 from click.testing import CliRunner
 
 import naplespf as npf
+from helpers import naive_count_k_naples
 from naplespf.cli import main as cli_main
 
 P = npf.ParkingPreference
@@ -73,7 +74,8 @@ def test_criterion_2_theorem_sweep():
 
 
 def test_criterion_3_counting_oracle():
-    """Classical counts, monotonicity in k, and the n=3 window-1 failures."""
+    """Classical counts, k-Naples counts by a second route, monotonicity in k,
+    and the n=3 window-1 failures."""
     expected_pf = {1: 1, 2: 3, 3: 16, 4: 125, 5: 1296, 6: 16807, 7: 262144}
     for n, target in expected_pf.items():
         assert (n + 1) ** (n - 1) == target
@@ -85,11 +87,20 @@ def test_criterion_3_counting_oracle():
         previous = None
         for k in range(n + 1):
             naples = npf.sweep(n, k).counts["k_naples"]
+            assert naples == naive_count_k_naples(n, k), (n, k)
             if k == 0:
                 assert naples == pf
             if previous is not None:
                 assert naples >= previous
             previous = naples
+
+    # the DP over occupied sets reaches past the sweep's n <= 9 cap
+    column = {
+        1: [1, 4, 24, 203, 2225, 30067, 484071, 9057316, 193282730, 4635533581],
+        2: [1, 4, 27, 240, 2731, 38034, 627405, 11976466, 259897613, 6322598234],
+    }
+    for k, counts in column.items():
+        assert [naive_count_k_naples(n, k) for n in range(1, 11)] == counts
 
     report = npf.sweep(3, 1)
     assert report.counts["k_naples"] == 24
@@ -99,7 +110,10 @@ def test_criterion_3_counting_oracle():
         if not npf.is_k_naples(P(tup), 1)
     }
     assert failures == {(2, 3, 3), (3, 2, 3), (3, 3, 3)}
-    print("ACCEPTANCE 3 PASS: counting matches the classical table exactly")
+    print(
+        "ACCEPTANCE 3 PASS: counting matches the classical table and the "
+        "occupied-set DP exactly"
+    )
 
 
 def test_criterion_4_perm_invariant_fast():

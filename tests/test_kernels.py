@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from helpers import preferences
+from helpers import loop_all_park, preferences
 from naplespf import _kernels
 from naplespf import (
     ParkingPreference,
@@ -15,7 +15,6 @@ from naplespf import (
     is_k_naples,
     is_parking_function,
     is_permutation_invariant,
-    park,
     park_uniform,
     restrict_shift,
 )
@@ -89,34 +88,6 @@ def loop_count_range(n, k, start, stop, counts):
             j -= 1
 
 
-def loop_all_park(prefs, windows, n_spots):
-    """Per-car-window loop parker, the reference for ``_kernels.park_block``."""
-    occ = 0
-    for i in range(prefs.shape[0]):
-        a = prefs[i]
-        k = windows[i]
-        s = 0
-        if (occ >> a) & 1 == 0:
-            s = a
-        else:
-            lo = a - k
-            if lo < 1:
-                lo = 1
-            for t in range(a - 1, lo - 1, -1):
-                if (occ >> t) & 1 == 0:
-                    s = t
-                    break
-            if s == 0:
-                for t in range(a + 1, n_spots + 1):
-                    if (occ >> t) & 1 == 0:
-                        s = t
-                        break
-        if s == 0:
-            return False
-        occ |= 1 << s
-    return True
-
-
 def loop_enumerate_witnesses(pref, k, interval):
     """Subset-by-subset scan through the public API, the reference for
     ``characterize.enumerate_witnesses``."""
@@ -136,38 +107,6 @@ def loop_enumerate_witnesses(pref, k, interval):
             continue
         found.append(WitnessCertificate((p, q), tuple(chosen), sr))
     return found
-
-
-def loop_monotone_window_violation(n, all_park=loop_all_park):
-    """Per-row loop version of ``_kernels.monotone_window_violation``."""
-    total_p = n**n
-    radix_w = n + 1
-    total_w = radix_w**n
-    prefs = np.empty(n, np.int64)
-    win = np.empty(n, np.int64)
-    for i in range(n):
-        prefs[i] = 1
-    for pr in range(total_p):
-        for wr in range(total_w):
-            r = wr
-            for i in range(n - 1, -1, -1):
-                win[i] = r % radix_w
-                r //= radix_w
-            if all_park(prefs, win, n):
-                for c in range(n):
-                    win[c] += 1
-                    parked = all_park(prefs, win, n)
-                    win[c] -= 1
-                    if not parked:
-                        return (pr * total_w + wr) * n + c
-        j = n - 1
-        while j >= 0:
-            prefs[j] += 1
-            if prefs[j] <= n:
-                break
-            prefs[j] = 1
-            j -= 1
-    return -1
 
 
 def engine_and_loop(n, k, start, stop):
@@ -247,82 +186,6 @@ class TestParkKernels:
         for k in range(pref.n + 1):
             expected = park_uniform(pref, k).all_parked
             assert bool(_kernels.park_block(prefs, k)[0]) == expected, k
-
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_windows_match_simulator_exhaustive(self, n):
-        # every preference against every window vector in [0, n + 1]^n
-        rows = list(
-            itertools.product(
-                itertools.product(range(1, n + 1), repeat=n),
-                itertools.product(range(n + 2), repeat=n),
-            )
-        )
-        prefs = np.array([p for p, _ in rows], np.int8).T
-        windows = np.array([w for _, w in rows], np.int8).T
-        got = _kernels.park_block(prefs, windows)
-        for (tup, w), parked in zip(rows, got):
-            expected = park(ParkingPreference(tup), w).all_parked
-            assert bool(parked) == expected, (tup, w)
-            assert loop_all_park(np.array(tup), np.array(w), n) == expected
-
-    @given(preferences(max_n=6))
-    @settings(max_examples=150)
-    def test_windows_match_simulator(self, pref):
-        window_list = list(
-            itertools.islice(itertools.product(range(pref.n + 1), repeat=pref.n), 16)
-        )
-        windows = np.array(window_list, np.int8).T
-        prefs = np.repeat(np.int8(pref.prefs)[:, None], windows.shape[1], axis=1)
-        got = _kernels.park_block(prefs, windows)
-        for w, parked in zip(window_list, got):
-            assert bool(parked) == park(pref, w).all_parked, w
-
-
-class TestMonotoneWindowKernel:
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_matches_loop_reference(self, n):
-        assert _kernels.monotone_window_violation(n) == -1
-        assert loop_monotone_window_violation(n) == -1
-
-    @pytest.mark.parametrize("n", [2, 3])
-    @pytest.mark.parametrize("block", [_kernels.BLOCK, 7])
-    def test_same_first_violation_under_a_rule_that_is_not_monotone(
-        self, monkeypatch, n, block
-    ):
-        # A car probes only the spot exactly its window behind, so a larger
-        # window can lose a spot; both searches must report the same row
-        # and car first.
-        def exact_back_park(prefs, windows, n_spots):
-            occ = 0
-            for a, w in zip(prefs, windows):
-                a, w = int(a), int(w)
-                free = [s for s in range(1, n_spots + 1) if not (occ >> s) & 1]
-                behind = [a - w] if w >= 1 and a - w in free else []
-                ahead = [s for s in free if s > a]
-                spots = [a] if a in free else behind or ahead[:1]
-                if not spots:
-                    return False
-                occ |= 1 << spots[0]
-            return True
-
-        def exact_back_block(prefs, windows):
-            return np.array(
-                [
-                    exact_back_park(prefs[:, j], windows[:, j], prefs.shape[0])
-                    for j in range(prefs.shape[1])
-                ]
-            )
-
-        want = loop_monotone_window_violation(n, exact_back_park)
-        assert want >= 0
-        monkeypatch.setattr(_kernels, "park_block", exact_back_block)
-        monkeypatch.setattr(_kernels, "BLOCK", block)
-        assert _kernels.monotone_window_violation(n) == want
-
-    @pytest.mark.parametrize("n", [0, _kernels.MAX_BITMASK_N + 1])
-    def test_rejects_n_outside_bitmask(self, n):
-        with pytest.raises(ValueError):
-            _kernels.monotone_window_violation(n)
 
 
 class TestWitnessSearch:

@@ -1,10 +1,13 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import naive_park, preferences, preferences_with_windows
+from helpers import naive_candidates, naive_park, preferences, preferences_with_windows
 from naplespf import (
     UNPARKED,
+    InvalidPreference,
     LengthMismatch,
     ParkingPreference,
     as_windows,
@@ -129,6 +132,22 @@ class TestProcessInvariants:
         expected = naive_park(pref.prefs, list(windows))
         assert list(park(pref, windows).spot_of) == expected
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_naive_oracle_exhaustive(self, n):
+        # every preference against every window vector in [0, n + 1]^n; each
+        # car probes its candidate list up to the spot it takes
+        for tup in itertools.product(range(1, n + 1), repeat=n):
+            for windows in itertools.product(range(n + 2), repeat=n):
+                out, trace = park_with_trace(ParkingPreference(tup), windows)
+                assert list(out.spot_of) == naive_park(tup, windows), windows
+                for st, k in zip(trace, windows):
+                    tried = naive_candidates(st.preferred, k, n)
+                    if st.spot is not None:
+                        tried = tried[: tried.index(st.spot) + 1]
+                    a, probed = st.preferred, tried[1:]
+                    assert st.backward_checks == tuple(s for s in probed if s < a)
+                    assert st.forward_checks == tuple(s for s in probed if s > a)
+
     @given(preferences())
     def test_uniform_matches_naive_oracle(self, pref):
         for k in range(pref.n + 1):
@@ -180,3 +199,9 @@ class TestRestrictedStreet:
 
     def test_unparked_on_short_street(self):
         assert park_cars((2, 2, 2), 0, 2) == [2, None, None]
+
+    @pytest.mark.parametrize("prefs", [(5, 1), (1, 0), (-1,)])
+    def test_preference_off_the_street(self, prefs):
+        with pytest.raises(InvalidPreference, match=r"1\.\.3"):
+            park_cars(prefs, 0, 3)
+        assert park_cars((), 0, 3) == []

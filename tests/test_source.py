@@ -1,0 +1,18 @@
+"""Checks on the package source itself."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import naplespf
+
+SOURCES = sorted(Path(naplespf.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    # python -O strips asserts, so every check must raise instead
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == [], f"{path.name} asserts on lines {lines}"

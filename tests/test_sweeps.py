@@ -19,11 +19,11 @@ from naplespf import (
     is_k_naples,
     iter_preferences,
     park,
-    rank_to_pref,
     sweep,
     verify_sweep,
 )
-from naplespf import _kernels, characterize, sweeps
+from helpers import loop_all_park, naive_park
+from naplespf import _kernels, characterize, simulator, sweeps
 from naplespf.sweeps import PROPERTIES, TRUE_PROPERTIES, MonotoneWindowViolation
 
 
@@ -167,9 +167,12 @@ class TestPermInvariantFast:
 
 class TestOdometer:
     def test_rank_round_trip(self):
+        # rank r in the counting kernels is the r-th preference visited here
         for n in (1, 2, 3, 4):
-            for rank, tup in enumerate(iter_preferences(n)):
-                assert rank_to_pref(n, rank) == tup
+            digits = _kernels._digits(0, n**n, n) + 1
+            assert [tuple(map(int, col)) for col in digits.T] == list(
+                iter_preferences(n)
+            )
 
     def test_order_is_lexicographic(self):
         seq = list(iter_preferences(3))
@@ -296,48 +299,117 @@ class TestVerifySweep:
             verify_sweep(3, properties=["witness_size_bound"])
 
 
+def loop_monotone_window_violation(n, all_park):
+    """First (preference, windows, car) in odometer order whose bump breaks
+    parking, row by row over [n]^n x [0, n]^n; None if there is none."""
+    for prefs in itertools.product(range(1, n + 1), repeat=n):
+        for windows in itertools.product(range(n + 1), repeat=n):
+            if not all_park(prefs, windows, n):
+                continue
+            for c in range(n):
+                bumped = windows[:c] + (windows[c] + 1,) + windows[c + 1 :]
+                if not all_park(prefs, bumped, n):
+                    return prefs, windows, c + 1
+    return None
+
+
+def all_park_under(step):
+    """Whether every car parks when each takes the spot ``step`` picks."""
+
+    def all_park(prefs, windows, n_spots):
+        occ = 0
+        for a, w in zip(prefs, windows):
+            spot = step(occ, a, w, n_spots)
+            if spot is None:
+                return False
+            occ |= 1 << spot
+        return True
+
+    return all_park
+
+
+def exact_back_step(occ, a, k, n_spots):
+    """Probe only the spot exactly k behind: a larger window can lose it."""
+    back = [a - k] if 1 <= k < a else []
+    for t in [a, *back, *range(a + 1, n_spots + 1)]:
+        if not occ >> t & 1:
+            return t
+    return None
+
+
+def farthest_first_step(occ, a, k, n_spots):
+    """Probe the spots behind farthest-first, from max(1, a - k) up."""
+    for t in [a, *range(max(1, a - k), a), *range(a + 1, n_spots + 1)]:
+        if not occ >> t & 1:
+            return t
+    return None
+
+
+MUTANTS = {"exact_back": exact_back_step, "farthest_first": farthest_first_step}
+
+
 class TestMonotoneWindows:
     def test_no_violation_exhaustive(self):
-        assert find_monotone_window_violation(4) is None
+        assert find_monotone_window_violation(sweeps.MONOTONE_MAX_N) is None
 
-    @pytest.mark.parametrize("block", [_kernels.BLOCK, 100])
-    def test_reports_planted_violation(self, monkeypatch, block):
-        # (3, 3, 1) parks under windows (0, 1, 0) and, truly, with car 2's
-        # or car 3's window raised by one; the planted parker says both
-        # bumped rows fail.  The only other row that bumps into one of them,
-        # (0, 0, 1), does not park, so the first violation is (0, 1, 0)
-        # with car 2, the first car that breaks it.
-        pref, windows, bumped = (3, 3, 1), (0, 1, 0), [(0, 2, 0), (0, 1, 1)]
-        for w in [windows, *bumped]:
-            assert park(ParkingPreference(pref), w).all_parked
-        assert not park(ParkingPreference(pref), (0, 0, 1)).all_parked
-        real_park_block = _kernels.park_block
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_loop_reference(self, n):
+        assert sweeps._monotone_search(n) is None
+        assert loop_monotone_window_violation(n, loop_all_park) is None
 
-        def planted_park_block(prefs, wins):
-            parked = real_park_block(prefs, wins)
-            if np.ndim(wins) == 2 and prefs.shape[0] == 3:
-                rows = (prefs.T == pref).all(axis=1)
-                for w in bumped:
-                    parked[rows & (wins.T == w).all(axis=1)] = False
-            return parked
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("mutant", sorted(MUTANTS))
+    def test_rule_that_is_not_monotone(self, monkeypatch, mutant, n):
+        # the search and the row-by-row scan agree on whether a violation
+        # exists, and the one the search reports breaks the patched rule
+        all_park = all_park_under(MUTANTS[mutant])
+        want = loop_monotone_window_violation(n, all_park)
+        monkeypatch.setattr(simulator, "_step", MUTANTS[mutant])
+        got = sweeps._monotone_search(n)
+        assert (got is None) == (want is None)
+        if got is not None:
+            bumped = list(got.windows)
+            bumped[got.car - 1] += 1
+            assert all_park(got.pref.prefs, got.windows, n)
+            assert not all_park(got.pref.prefs, bumped, n)
 
-        monkeypatch.setattr(_kernels, "park_block", planted_park_block)
-        monkeypatch.setattr(_kernels, "BLOCK", block)
-        violation = find_monotone_window_violation(4)
-        assert violation == MonotoneWindowViolation(
-            ParkingPreference(pref), windows, 2
+    def test_verdicts_under_mutants(self, monkeypatch):
+        # exact-back breaks from n = 2 on; farthest-first first at n = 4
+        monkeypatch.setattr(simulator, "_step", exact_back_step)
+        assert find_monotone_window_violation(2).pref.n == 2
+        monkeypatch.setattr(simulator, "_step", farthest_first_step)
+        assert find_monotone_window_violation(3) is None
+        assert find_monotone_window_violation(4) == MonotoneWindowViolation(
+            ParkingPreference((3, 3, 4, 2)), (0, 0, 3, 0), 2
         )
+
+    def test_unconfirmed_hit_raises(self, monkeypatch):
+        # the search runs a broken rule but the re-check runs the real one
+        monkeypatch.setattr(simulator, "_step", exact_back_step)
+        monkeypatch.setattr(
+            sweeps,
+            "park",
+            lambda pref, w: ParkingOutcome(tuple(naive_park(pref.prefs, w))),
+        )
+        with pytest.raises(VerificationFailed, match="does not confirm"):
+            find_monotone_window_violation(2)
 
     def test_size_cap(self, monkeypatch):
         searched = []
 
         def no_violation(n):
             searched.append(n)
-            return -1
+            return None
 
-        monkeypatch.setattr(_kernels, "monotone_window_violation", no_violation)
-        assert find_monotone_window_violation(5) is None
-        assert searched == [1, 2, 3, 4, 5]
+        monkeypatch.setattr(sweeps, "_monotone_search", no_violation)
+        assert find_monotone_window_violation(12) is None
+        assert searched == list(range(1, 13))
         with pytest.raises(SizeLimitExceeded):
-            find_monotone_window_violation(6)
-        assert searched == [1, 2, 3, 4, 5]  # raised before any search
+            find_monotone_window_violation(13)
+        assert searched == list(range(1, 13))  # raised before any search
+
+    @pytest.mark.parametrize("n_max", [0, -1])
+    def test_rejects_n_max_below_one(self, monkeypatch, n_max):
+        monkeypatch.setattr(sweeps, "_monotone_search", None)
+        with pytest.raises(ValueError, match="n_max >= 1"):
+            find_monotone_window_violation(n_max)
