@@ -1,9 +1,10 @@
 """Numpy block kernels for the counting sweeps.
 
-:func:`count_range` decodes blocks of odometer ranks with :func:`_digits`
-and parks each block with :func:`park_block`, under one window for every
-car.  :func:`naplespf.simulator.park` is the scalar reference for the
-parking rule written here.
+:func:`count_range` walks blocks of odometer ranks one car at a time.
+Ranks that share their first i digits share everything the first i cars
+did, so each car's step, :func:`_step_block`, runs once per distinct
+prefix rather than once per rank.  :func:`naplespf.simulator._step` is the
+scalar reference for the parking rule written here.
 
 Street occupancy lives in an int64 bitmask, so these kernels are limited to
 n <= 62 spots; :func:`count_range` raises ``ValueError`` beyond that, and
@@ -30,49 +31,25 @@ IDX_PERM_INVARIANT = 4
 N_PREDICATES = 5
 
 #: Ranks per block in count_range; one block is held in memory at a time.
-BLOCK = 2048
+BLOCK = 8192
 #: Largest n whose spots 1..n fit in an int64 occupancy bitmask.
 MAX_BITMASK_N = 62
 
 
-def _digits(lo, size, n):
-    """The n base-n digits of ranks lo .. lo + size - 1, one row per digit.
+def _step_block(free, a, k):
+    """Spot taken by one car per column, as a one-bit int64 mask, or 0.
 
-    The most significant digit comes first, so the last row runs fastest.
-    Carrying from ``lo`` keeps the decode exact for ranks past int64.
+    ``free`` holds each column's bitmask of free spots and ``a`` its car's
+    preferred spot.  The car takes its preferred spot, else the nearest free
+    spot at most k behind, probed as ``(bit >> t) & free`` for t = 1, 2, ...,
+    else the lowest free spot ahead, ``f & -f``; 0 means it exits.
     """
-    digits = np.empty((n, size), np.int8)
-    carry = np.arange(size, dtype=np.int64)
-    r = lo
-    for i in range(n - 1, -1, -1):
-        carry += r % n
-        r //= n
-        digits[i] = carry % n
-        carry //= n
-    return digits
-
-
-def park_block(prefs, k):
-    """Which columns of an (n, B) block of preferences park every car.
-
-    Every car has window k.  Each column keeps one int64 bitmask of free
-    spots: a car takes its preferred spot, else the nearest free spot at
-    most k behind, probed as ``(bit >> t) & free`` for t = 1, 2, ..., else
-    the lowest free spot ahead, ``f & -f``.
-    """
-    n, size = prefs.shape
-    free = np.full(size, (1 << (n + 1)) - 2, np.int64)  # bits 1..n
-    parked = np.ones(size, bool)
-    for i in range(n):
-        bit = np.left_shift(1, prefs[i], dtype=np.int64)
-        spot = bit & free
-        for t in range(1, min(k, n - 1) + 1):
-            spot = np.where(spot == 0, (bit >> t) & free, spot)
-        ahead = free & -(bit << 1)
-        spot = np.where(spot == 0, ahead & -ahead, spot)  # lowest free spot ahead
-        parked &= spot != 0
-        free ^= spot
-    return parked
+    bit = np.left_shift(1, a, dtype=np.int64)
+    spot = bit & free
+    for t in range(1, k + 1):
+        spot = np.where(spot == 0, (bit >> t) & free, spot)
+    ahead = free & -(bit << 1)
+    return np.where(spot == 0, ahead & -ahead, spot)
 
 
 def count_range(n, k, start, stop, counts):
@@ -83,33 +60,50 @@ def count_range(n, k, start, stop, counts):
     must be an int64 array of length N_PREDICATES and is added to in place,
     so disjoint ranges can be summed in any order.
 
-    The ranks are processed in blocks of :data:`BLOCK` with numpy, one row
-    per car and one column per preference.  Raises ``ValueError`` when n is
-    outside 1..62, the spots an int64 occupancy bitmask can hold.
+    Each block of :data:`BLOCK` ranks is walked level by level.  Level i
+    holds the distinct prefixes of i + 1 cars, with ids ``r // n**(n-1-i)``;
+    the parent of prefix c is ``c // n`` and its new car prefers
+    ``c % n + 1``.  A prefix carries its free-spot bitmask, whether all its
+    cars parked, and its partial excess, one int8 row per position j that
+    starts at j - 1 and loses 1 for each car preferring a spot below j.
+    Raises ``ValueError`` when n is outside 1..62, the spots an int64
+    occupancy bitmask can hold.
     """
     if not 1 <= n <= MAX_BITMASK_N:
         raise ValueError(f"need 1 <= n <= {MAX_BITMASK_N}, got n={n}")
+    window = min(k, n - 1)  # a car never backs up past spot 1
+    # np.repeat(state, n) lists n children per parent: column x holds child
+    # x % n, whose car prefers a[x] = x % n + 1 and so lowers u_j by
+    # lower[j - 1, x] = 1 at every position j above a[x].
+    a = np.arange(min(BLOCK, stop - start) + n) % n + 1
+    rows = np.arange(1, n + 1)[:, None]  # position j per row
+    lower = (rows > a).astype(np.int8)
     for lo in range(start, stop, BLOCK):
-        size = min(BLOCK, stop - lo)
-        # One row per car, last car fastest.
-        prefs = _digits(lo, size, n) + 1
-        # u_j = (j - 1) - #{cars preferring a spot < j}, one position at a time.
+        hi = min(lo + BLOCK, stop)
+        free = np.array([(1 << (n + 1)) - 2], np.int64)  # bits 1..n
+        parked = np.ones(1, bool)
+        u = (rows - 1).astype(np.int8)
+        for i in range(n):
+            scale = n ** (n - 1 - i)
+            first = lo // scale  # id of the level's first prefix
+            # first - n * (first // n) places the first prefix among its
+            # parent's children; numpy sees offsets below BLOCK + n only,
+            # while the ids stay Python ints past int64.
+            cut = slice(first % n, first % n + (hi - 1) // scale - first + 1)
+            free = np.repeat(free, n)[cut]
+            spot = _step_block(free, a[cut], window)
+            free ^= spot
+            parked = np.repeat(parked, n)[cut] & (spot != 0)
+            u = np.repeat(u, n, axis=1)[:, cut]
+            u -= lower[:, cut]
         # int8 holds every |u_j| and run length, since n <= 62.
-        u = np.zeros(size, np.int8)
-        max_u = np.zeros(size, np.int8)
-        min_tail_u = np.full(size, 1 if n >= 2 else 0, np.int8)  # min over 2..n
-        run = np.zeros(size, np.int8)
-        max_run = np.zeros(size, np.int8)  # longest run of critical positions
-        for j in range(1, n + 1):
-            np.maximum(max_u, u, out=max_u)
-            if j >= 2:
-                np.minimum(min_tail_u, u, out=min_tail_u)
-            run = np.where(u >= 1, run + 1, 0)
+        run = np.zeros(u.shape[1], np.int8)
+        max_run = np.zeros_like(run)  # longest run of critical positions
+        for critical in u >= 1:
+            run = (run + 1) * critical
             np.maximum(max_run, run, out=max_run)
-            u += 1 - (prefs == j).sum(axis=0, dtype=np.int8)
-        parked = park_block(prefs, k)
-        is_complete = min_tail_u >= 1
-        counts[IDX_PARKING_FUNCTION] += np.count_nonzero(max_u <= 0)
+        is_complete = (u[1:] >= 1).all(axis=0) & (n >= 2)  # u >= 1 on 2..n
+        counts[IDX_PARKING_FUNCTION] += np.count_nonzero(u.max(axis=0) <= 0)
         counts[IDX_K_NAPLES] += np.count_nonzero(parked)
         counts[IDX_COMPLETE] += np.count_nonzero(is_complete)
         counts[IDX_COMPLETE_K_NAPLES] += np.count_nonzero(is_complete & parked)

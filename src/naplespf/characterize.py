@@ -13,7 +13,7 @@ verification sweep checks the extraction against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .classify import is_complete, is_k_naples
 from .core import ExcessProfile, ParkingPreference, excess, restrict_shift
@@ -278,15 +278,36 @@ class SummaryReport:
     @property
     def consistent(self) -> bool:
         """All cross-checks between the conditions and membership hold."""
-        for cond in self.intervals:
-            if cond.spot_before_occupied != cond.satisfied:
-                return False
-            if cond.auto and not cond.satisfied:
-                return False
-        large_ok = all(
-            cond.satisfied for cond in self.intervals if cond.size >= self.k + 1
-        )
-        return self.k_naples == large_ok
+        rows = ((c.interval, c.spot_before_occupied, c.witness) for c in self.intervals)
+        return _summary_consistent(self.k, self.k_naples, rows)
+
+
+def _summary_rows(
+    pref: ParkingPreference, k: int, prof: ExcessProfile, witness: _Lookup
+) -> Iterator[tuple[tuple[int, int], bool, WitnessCertificate | None]]:
+    """Per maximal interval: (interval, spot p-1 fills, witness or None).
+
+    Rows are made one at a time, so a check that stops early skips the rest.
+    """
+    for p, q in prof.intervals:
+        before = restricted_spot_before_occupied(pref, k, p)
+        yield (p, q), before, witness(pref, k, (p, q))
+
+
+def _summary_consistent(k: int, naples: bool, rows: Iterable[tuple]) -> bool:
+    """The summary theorem on (interval, spot p-1 fills, witness) rows.
+
+    The two conditions agree on every interval and hold on each interval of
+    at most k positions, and the preference parks exactly when every
+    interval has a witness.
+    """
+    witnessed_all = True
+    for (p, q), before, cert in rows:
+        witnessed = cert is not None
+        if before != witnessed or (q - p + 1 <= k and not witnessed):
+            return False
+        witnessed_all = witnessed_all and witnessed
+    return naples == witnessed_all
 
 
 def verify_summary_theorem(pref: ParkingPreference, k: int) -> SummaryReport:
@@ -302,26 +323,14 @@ def verify_summary_theorem(pref: ParkingPreference, k: int) -> SummaryReport:
     """
     if k < 1:
         raise ValueError(f"backward window must be >= 1, got {k}")
-    report = _summary(pref, k, is_k_naples(pref, k), excess(pref), find_witness)
+    conditions = tuple(
+        IntervalConditions((p, q), q - p + 1, q - p + 1 <= k, before, cert)
+        for (p, q), before, cert in _summary_rows(pref, k, excess(pref), find_witness)
+    )
+    report = SummaryReport(k, is_k_naples(pref, k), conditions)
     if not report.consistent:
         raise VerificationFailed(
             f"summary conditions inconsistent on {pref} with window {k}", report
         )
     return report
 
-
-def _summary(
-    pref: ParkingPreference, k: int, naples: bool, prof: ExcessProfile, witness: _Lookup
-) -> SummaryReport:
-    """Both conditions on every interval, witnesses looked up by ``witness``."""
-    conditions = tuple(
-        IntervalConditions(
-            interval=(p, q),
-            size=q - p + 1,
-            auto=q - p + 1 <= k,
-            spot_before_occupied=restricted_spot_before_occupied(pref, k, p),
-            witness=witness(pref, k, (p, q)),
-        )
-        for p, q in prof.intervals
-    )
-    return SummaryReport(k, naples, conditions)

@@ -338,6 +338,10 @@ def count(
         raise click.UsageError("give either -k or --k-max, not both")
     if k_max is not None and k_max < 0:
         raise click.UsageError(f"need --k-max >= 0, got {k_max}")
+    if k_max is not None and k_max > n:
+        raise click.UsageError(f"need --k-max <= n = {n}, got {k_max}")
+    if window is not None and not 0 <= window <= n:
+        raise click.UsageError(f"need 0 <= -k <= n = {n}, got {window}")
     ks = [window] if window is not None else list(range(0, (k_max if k_max is not None else n) + 1))
     names = tuple(PREDICATES)
     if predicates:

@@ -27,7 +27,8 @@ from . import simulator
 from .characterize import (
     _SUBSET_SEARCH_CAP,
     WitnessCertificate,
-    _summary,
+    _summary_consistent,
+    _summary_rows,
     _upper_part_parks,
     _witness_subsets,
     _witnessed,
@@ -107,8 +108,10 @@ def sweep(
 
     ``shards`` splits the rank space into that many contiguous ranges (at
     most n^n, one rank each), counted in rank order in the calling thread;
-    the counts are identical for any shard count.  Counting is numpy code over blocks of ranks.
-    n is capped at 8, or at 9 with ``allow_large``.
+    the counts are identical for any shard count.  Each range is counted by
+    :func:`naplespf._kernels.count_range` in numpy blocks of ranks, walked
+    car by car so that each car's step runs once per distinct prefix of
+    preferences.  n is capped at 8, or at 9 with ``allow_large``.
 
     >>> sweep(3, 1).counts["k_naples"]
     24
@@ -376,8 +379,8 @@ def _prop_tail_lemma(c: _Case, k: int) -> bool:
 
 
 def _prop_summary_theorem(c: _Case, k: int) -> bool:
-    naples = c.out(k).all_parked
-    return _summary(c.pref, k, naples, c.prof, c.witness).consistent
+    rows = _summary_rows(c.pref, k, c.prof, c.witness)
+    return _summary_consistent(k, c.out(k).all_parked, rows)
 
 
 def _prop_perm_invariance(c: _Case, k: int) -> bool:

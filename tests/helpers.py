@@ -12,7 +12,13 @@ from pathlib import Path
 from hypothesis import strategies as st
 
 import naplespf
-from naplespf import ParkingPreference
+from naplespf import (
+    ParkingPreference,
+    is_complete,
+    is_k_naples,
+    is_parking_function,
+    is_permutation_invariant,
+)
 
 SRC = str(Path(naplespf.__file__).resolve().parents[1])
 
@@ -70,8 +76,9 @@ def naive_count_k_naples(n, k):
 
 
 def loop_all_park(prefs, windows, n_spots):
-    """Whether every car parks, one bitmask loop per car: the reference for
-    ``_kernels.park_block`` and for the monotone-window search."""
+    """Whether every car parks, one bitmask loop per car: the parking half
+    of the loop reference for ``_kernels.count_range``, and the reference
+    for the monotone-window search."""
     occ = 0
     for i in range(len(prefs)):
         a = prefs[i]
@@ -96,6 +103,20 @@ def loop_all_park(prefs, windows, n_spots):
             return False
         occ |= 1 << s
     return True
+
+
+def api_predicates(pref, k):
+    """The counting kernel's predicate slots for one preference, straight
+    off the public API."""
+    complete = pref.n >= 2 and is_complete(pref)
+    naples = is_k_naples(pref, k)
+    return [
+        is_parking_function(pref),
+        naples,
+        complete,
+        complete and naples,
+        is_permutation_invariant(pref, k),
+    ]
 
 
 def naive_excess(prefs):

@@ -300,6 +300,33 @@ class TestCount:
         assert result.stdout == ""
         assert "Error: need --k-max >= 0, got -1" in result.stderr
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--k-max", "4"], "need --k-max <= n = 3, got 4"),
+            (["-k", "4"], "need 0 <= -k <= n = 3, got 4"),
+            (["-k", "-1"], "need 0 <= -k <= n = 3, got -1"),
+        ],
+        ids=["k-max", "k", "negative-k"],
+    )
+    def test_window_outside_0_n_exits_2_before_counting(
+        self, runner, monkeypatch, fmt, extra, message
+    ):
+        import naplespf.cli as cli_module
+
+        calls = []
+
+        def record(*args, **kwargs):
+            calls.append(args)
+
+        monkeypatch.setattr(cli_module, "sweep", record)
+        result = runner.invoke(main, ["count", "-n", "3", *extra, "--format", fmt])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert f"Error: {message}" in result.stderr
+        assert calls == []
+
 
 class TestSweep:
     def test_verify_clean(self, runner):

@@ -2,10 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
 
-from helpers import loop_all_park, preferences
-from naplespf import _kernels
+from helpers import api_predicates, loop_all_park
+from naplespf import _kernels, simulator
 from naplespf import (
     ParkingPreference,
     WitnessCertificate,
@@ -13,9 +12,6 @@ from naplespf import (
     excess,
     is_complete,
     is_k_naples,
-    is_parking_function,
-    is_permutation_invariant,
-    park_uniform,
     restrict_shift,
 )
 
@@ -24,14 +20,8 @@ def reference_counts(n, k):
     """Predicate counts straight off the public API."""
     out = [0] * _kernels.N_PREDICATES
     for tup in itertools.product(range(1, n + 1), repeat=n):
-        pref = ParkingPreference(tup)
-        complete = pref.n >= 2 and is_complete(pref)
-        naples = is_k_naples(pref, k)
-        out[_kernels.IDX_PARKING_FUNCTION] += is_parking_function(pref)
-        out[_kernels.IDX_K_NAPLES] += naples
-        out[_kernels.IDX_COMPLETE] += complete
-        out[_kernels.IDX_COMPLETE_K_NAPLES] += complete and naples
-        out[_kernels.IDX_PERM_INVARIANT] += is_permutation_invariant(pref, k)
+        for i, hit in enumerate(api_predicates(ParkingPreference(tup), k)):
+            out[i] += hit
     return out
 
 
@@ -137,6 +127,7 @@ class TestCountRange:
             (0, 0),  # empty range
             (12345, 0),
             (777, 1),  # single rank
+            (1024, 2051),  # inside one block
             (_kernels.BLOCK // 2, _kernels.BLOCK + 3),  # mid-block, spans two
             (6**6 - 5, 5),  # last ranks of [6]^6
         ],
@@ -177,15 +168,37 @@ class TestCountRange:
             got, want = engine_and_loop(n, k, last - 2, last + 1)
             assert got == want, k
 
+    def test_largest_bitmask_n_ranges_compose(self):
+        n, k = _kernels.MAX_BITMASK_N, 3
+        first = 0
+        for i in range(n):  # the preference (1, 2, ..., 62)
+            first = first * n + i
+        stop = first + 2 * _kernels.BLOCK + 5
+        whole = np.zeros(_kernels.N_PREDICATES, np.int64)
+        _kernels.count_range(n, k, first, stop, whole)
+        pieces = np.zeros(_kernels.N_PREDICATES, np.int64)
+        cuts = [first, first + 7, first + _kernels.BLOCK + 1, stop - 3, stop]
+        for lo, hi in zip(cuts, cuts[1:]):
+            _kernels.count_range(n, k, lo, hi, pieces)
+        assert list(pieces) == list(whole)
+        assert whole[_kernels.IDX_PARKING_FUNCTION] > 0
+
 
 class TestParkKernels:
-    @given(preferences(max_n=7))
-    @settings(max_examples=200)
-    def test_uniform_matches_simulator(self, pref):
-        prefs = np.array(pref.prefs, np.int8)[:, None]
-        for k in range(pref.n + 1):
-            expected = park_uniform(pref, k).all_parked
-            assert bool(_kernels.park_block(prefs, k)[0]) == expected, k
+    def test_uniform_matches_simulator(self):
+        # every occupied set of [n], every preference and every window
+        for n in range(1, 8):
+            occ, a = np.meshgrid(
+                np.arange(0, 1 << (n + 1), 2), np.arange(1, n + 1), indexing="ij"
+            )
+            occ, a = occ.ravel(), a.ravel()
+            free = ((1 << (n + 1)) - 2) ^ occ  # bits 1..n
+            for k in range(n + 1):
+                want = [
+                    0 if s is None else 1 << s
+                    for s in (simulator._step(int(o), int(b), k, n) for o, b in zip(occ, a))
+                ]
+                assert _kernels._step_block(free, a, k).tolist() == want, (n, k)
 
 
 class TestWitnessSearch:

@@ -22,7 +22,7 @@ from naplespf import (
     sweep,
     verify_sweep,
 )
-from helpers import loop_all_park, naive_park
+from helpers import api_predicates, loop_all_park, naive_park
 from naplespf import _kernels, characterize, simulator, sweeps
 from naplespf.sweeps import PROPERTIES, TRUE_PROPERTIES, MonotoneWindowViolation
 
@@ -167,12 +167,14 @@ class TestPermInvariantFast:
 
 class TestOdometer:
     def test_rank_round_trip(self):
-        # rank r in the counting kernels is the r-th preference visited here
+        # rank r in the counting kernel is the r-th preference visited here
         for n in (1, 2, 3, 4):
-            digits = _kernels._digits(0, n**n, n) + 1
-            assert [tuple(map(int, col)) for col in digits.T] == list(
-                iter_preferences(n)
-            )
+            for r, tup in enumerate(iter_preferences(n)):
+                for k in range(n + 1):
+                    got = np.zeros(_kernels.N_PREDICATES, np.int64)
+                    _kernels.count_range(n, k, r, r + 1, got)
+                    want = api_predicates(ParkingPreference(tup), k)
+                    assert list(got) == want, (tup, k)
 
     def test_order_is_lexicographic(self):
         seq = list(iter_preferences(3))
