@@ -2,8 +2,12 @@
 
 :func:`count_range` walks blocks of odometer ranks one car at a time.
 Ranks that share their first i digits share everything the first i cars
-did, so each car's step, :func:`_step_block`, runs once per distinct
-prefix rather than once per rank.  :func:`naplespf.simulator._step` is the
+did, so each prefix is carried once.  Its parking state is one int64: bit
+s - 1 is set when spot s is taken, and bit n once some car has exited.
+Where a car parks depends only on the taken spots, its preference and its
+window, so :func:`_children` maps a parent state to its n child states with
+:func:`_step_block`, and for n <= 12 a table of every state's children
+turns each car into one gather.  :func:`naplespf.simulator._step` is the
 scalar reference for the parking rule written here.
 
 Street occupancy lives in an int64 bitmask, so these kernels are limited to
@@ -52,6 +56,18 @@ def _step_block(free, a, k):
     return np.where(spot == 0, ahead & -ahead, spot)
 
 
+def _children(states, n, window):
+    """Child states of each parking state, one column per preferred spot.
+
+    Column a - 1 of the ``(len(states), n)`` result is the state after one
+    more car, preferring spot a, parks (its spot's bit set) or exits (bit n
+    set).  A set bit n stays set.
+    """
+    free = ~(states[:, None] << 1) & ((1 << (n + 1)) - 2)  # bits 1..n
+    spot = _step_block(free, np.arange(1, n + 1), window)
+    return states[:, None] | (spot >> 1) | ((spot == 0).astype(np.int64) << n)
+
+
 def count_range(n, k, start, stop, counts):
     """Accumulate predicate counts over odometer ranks [start, stop) of [n]^n.
 
@@ -63,25 +79,30 @@ def count_range(n, k, start, stop, counts):
     Each block of :data:`BLOCK` ranks is walked level by level.  Level i
     holds the distinct prefixes of i + 1 cars, with ids ``r // n**(n-1-i)``;
     the parent of prefix c is ``c // n`` and its new car prefers
-    ``c % n + 1``.  A prefix carries its free-spot bitmask, whether all its
-    cars parked, and its partial excess, one int8 row per position j that
-    starts at j - 1 and loses 1 for each car preferring a spot below j.
-    Raises ``ValueError`` when n is outside 1..62, the spots an int64
-    occupancy bitmask can hold.
+    ``c % n + 1``.  A prefix carries its parking state (see
+    :func:`_children`) and its partial excess, one int8 row per position j
+    that starts at j - 1 and loses 1 for each car preferring a spot below j.
+    When all 2^(n+1) states fit in a block (n <= 12), their children are
+    tabulated once per call and each level is one gather from the table;
+    above that each level steps its parents' states.  Raises ``ValueError``
+    when n is outside 1..62, the spots an int64 occupancy bitmask can hold.
     """
     if not 1 <= n <= MAX_BITMASK_N:
         raise ValueError(f"need 1 <= n <= {MAX_BITMASK_N}, got n={n}")
     window = min(k, n - 1)  # a car never backs up past spot 1
-    # np.repeat(state, n) lists n children per parent: column x holds child
-    # x % n, whose car prefers a[x] = x % n + 1 and so lowers u_j by
+    exited = 1 << n
+    table = None
+    if 2 * exited <= BLOCK:
+        table = _children(np.arange(2 * exited, dtype=np.int64), n, window)
+    # np.repeat(u, n, axis=1) lists n children per parent: column x holds
+    # child x % n, whose car prefers a[x] = x % n + 1 and so lowers u_j by
     # lower[j - 1, x] = 1 at every position j above a[x].
     a = np.arange(min(BLOCK, stop - start) + n) % n + 1
     rows = np.arange(1, n + 1)[:, None]  # position j per row
     lower = (rows > a).astype(np.int8)
     for lo in range(start, stop, BLOCK):
         hi = min(lo + BLOCK, stop)
-        free = np.array([(1 << (n + 1)) - 2], np.int64)  # bits 1..n
-        parked = np.ones(1, bool)
+        state = np.zeros(1, np.int64)  # no spot taken, no car exited
         u = (rows - 1).astype(np.int8)
         for i in range(n):
             scale = n ** (n - 1 - i)
@@ -90,12 +111,13 @@ def count_range(n, k, start, stop, counts):
             # parent's children; numpy sees offsets below BLOCK + n only,
             # while the ids stay Python ints past int64.
             cut = slice(first % n, first % n + (hi - 1) // scale - first + 1)
-            free = np.repeat(free, n)[cut]
-            spot = _step_block(free, a[cut], window)
-            free ^= spot
-            parked = np.repeat(parked, n)[cut] & (spot != 0)
+            if table is None:
+                state = _children(state, n, window).ravel()[cut]
+            else:
+                state = table[state].ravel()[cut]
             u = np.repeat(u, n, axis=1)[:, cut]
             u -= lower[:, cut]
+        parked = (state & exited) == 0
         # int8 holds every |u_j| and run length, since n <= 62.
         run = np.zeros(u.shape[1], np.int8)
         max_run = np.zeros_like(run)  # longest run of critical positions

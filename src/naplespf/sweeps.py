@@ -110,8 +110,9 @@ def sweep(
     most n^n, one rank each), counted in rank order in the calling thread;
     the counts are identical for any shard count.  Each range is counted by
     :func:`naplespf._kernels.count_range` in numpy blocks of ranks, walked
-    car by car so that each car's step runs once per distinct prefix of
-    preferences.  n is capped at 8, or at 9 with ``allow_large``.
+    car by car: each distinct prefix of preferences carries one parking
+    state, and each car maps every state to its child through a table of
+    all occupied sets.  n is capped at 8, or at 9 with ``allow_large``.
 
     >>> sweep(3, 1).counts["k_naples"]
     24
@@ -148,41 +149,35 @@ def sweep(
 def count_perm_invariant_fast(n: int, k: int, by_class: bool = False) -> int:
     """Count permutation-invariant preferences without visiting all of [n]^n.
 
-    Whether every rearrangement parks depends only on how many cars prefer
-    each spot, so it suffices to scan nondecreasing representatives and
-    weight each by its number of distinct rearrangements (or by 1 with
-    ``by_class``).
+    A preference is permutation-invariant under window k exactly when every
+    maximal run of positions j with u_j = j - 1 - #{cars preferring < j} >= 1
+    is at most k long, which depends only on how many cars prefer each spot.
+    A DP over positions j = 1..n tracks (seen, run): seen cars prefer spots
+    below j, and run is the length of the current run of u >= 1; it drops
+    states whose run exceeds k.  Letting m of the other n - seen cars
+    prefer spot j weighs C(n - seen, m), or 1 with ``by_class`` (one class
+    per multiset).
+
+    >>> count_perm_invariant_fast(3, 1), count_perm_invariant_fast(3, 1, by_class=True)
+    (23, 8)
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
-    fact_n = math.factorial(n)
-    total = 0
-    for rep in itertools.combinations_with_replacement(range(1, n + 1), n):
-        m = [0] * (n + 1)
-        for a in rep:
-            m[a] += 1
-        seen = 0
-        run = 0
-        max_run = 0
-        for j in range(1, n + 1):
-            u = j - 1 - seen
-            seen += m[j]
-            if u >= 1:
-                run += 1
-                max_run = max(max_run, run)
-            else:
-                run = 0
-        if max_run <= k:
-            if by_class:
-                total += 1
-            else:
-                weight = fact_n
-                for count in m[1:]:
-                    weight //= math.factorial(count)
-                total += weight
-    return total
+    ways = {(0, 0): 1}  # (seen, run) -> weighted count
+    for j in range(1, n + 1):
+        after: dict[tuple[int, int], int] = {}
+        for (seen, run), weight in ways.items():
+            run = run + 1 if j - 1 - seen >= 1 else 0
+            if run > k:
+                continue
+            for m in range(n - seen + 1):
+                key = (seen + m, run)
+                step = 1 if by_class else math.comb(n - seen, m)
+                after[key] = after.get(key, 0) + weight * step
+        ways = after
+    return sum(weight for (seen, _), weight in ways.items() if seen == n)
 
 
 # --------------------------------------------------------------------------

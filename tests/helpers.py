@@ -1,12 +1,16 @@
-"""Shared test utilities: an independent parking oracle and strategies.
+"""Shared test utilities: independent oracles and strategies.
 
 ``naive_park`` restates the parking rule as a single candidate list per car
 and is kept deliberately separate from the library implementation, so the
 two can vet each other; ``naive_count_k_naples`` counts with the same
-candidate lists.  ``SRC`` is the directory that holds the package
-under test, for the ``PYTHONPATH`` of subprocess tests.
+candidate lists.  ``loop_count_perm_invariant`` scans every multiset of
+preferences, the reference for the counting DP.  ``SRC`` is the directory
+that holds the package under test, for the ``PYTHONPATH`` of subprocess
+tests.
 """
 
+import itertools
+import math
 from pathlib import Path
 
 from hypothesis import strategies as st
@@ -103,6 +107,47 @@ def loop_all_park(prefs, windows, n_spots):
             return False
         occ |= 1 << s
     return True
+
+
+def loop_count_perm_invariant(n: int, k: int, by_class: bool = False) -> int:
+    """Permutation-invariant preferences by a scan over multisets: the
+    reference for ``sweeps.count_perm_invariant_fast``.
+
+    Whether every rearrangement parks depends only on how many cars prefer
+    each spot, so it suffices to scan nondecreasing representatives and
+    weight each by its number of distinct rearrangements (or by 1 with
+    ``by_class``).
+    """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if k < 0:
+        raise ValueError(f"need k >= 0, got {k}")
+    fact_n = math.factorial(n)
+    total = 0
+    for rep in itertools.combinations_with_replacement(range(1, n + 1), n):
+        m = [0] * (n + 1)
+        for a in rep:
+            m[a] += 1
+        seen = 0
+        run = 0
+        max_run = 0
+        for j in range(1, n + 1):
+            u = j - 1 - seen
+            seen += m[j]
+            if u >= 1:
+                run += 1
+                max_run = max(max_run, run)
+            else:
+                run = 0
+        if max_run <= k:
+            if by_class:
+                total += 1
+            else:
+                weight = fact_n
+                for count in m[1:]:
+                    weight //= math.factorial(count)
+                total += weight
+    return total
 
 
 def api_predicates(pref, k):

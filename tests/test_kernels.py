@@ -184,6 +184,44 @@ class TestCountRange:
         assert whole[_kernels.IDX_PARKING_FUNCTION] > 0
 
 
+class TestStateTable:
+    def test_children_match_simulator(self):
+        # every state (exit bit included), every preference and every window
+        for n in range(1, 8):
+            exited = 1 << n
+            states = np.arange(2 * exited, dtype=np.int64)
+            for k in range(n + 1):
+                table = _kernels._children(states, n, k)
+                assert table.shape == (2 * exited, n)
+                assert (table[exited:] & exited).all(), (n, k)
+                for state, row in zip(states.tolist(), table.tolist()):
+                    occ = (state & (exited - 1)) << 1  # bit s for spot s
+                    for a, child in enumerate(row, start=1):
+                        spot = simulator._step(occ, a, k, n)
+                        bit = exited if spot is None else 1 << (spot - 1)
+                        assert child == state | bit, (n, k, state, a)
+
+    @pytest.mark.parametrize("n, tabulated", [(12, True), (13, False)])
+    def test_both_routes_match_loop_reference(self, n, tabulated, monkeypatch):
+        # a range starting mid-block that spans two blocks; n = 12 is the
+        # largest n whose 2^(n+1) states are tabulated
+        sizes = []
+        children = _kernels._children
+
+        def recording(states, n, window):
+            sizes.append(len(states))
+            return children(states, n, window)
+
+        monkeypatch.setattr(_kernels, "_children", recording)
+        start = n**n // 3 + 12345
+        for k in (0, 2, n):
+            sizes.clear()
+            got, want = engine_and_loop(n, k, start, start + _kernels.BLOCK + 7)
+            assert got == want, (n, k)
+            assert (sizes[0] == 1 << (n + 1)) == tabulated
+            assert (len(sizes) == 1) == tabulated
+
+
 class TestParkKernels:
     def test_uniform_matches_simulator(self):
         # every occupied set of [n], every preference and every window

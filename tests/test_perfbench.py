@@ -17,10 +17,13 @@ import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
+# Test id -> (job, size).  count_table_n6 runs the count gate's oracles at
+# the benchmark's own count_table size.
 PASSES = {
-    "verify": {"n_max": 3, "mono_n": 2},
-    "count_table": {"n": 3, "tables": 1},
-    "queries": {"n_range": [8, 9], "queries": 10},
+    "verify": ("verify", {"n_max": 3, "mono_n": 2}),
+    "count_table": ("count_table", {"n": 3, "tables": 1}),
+    "count_table_n6": ("count_table", {"n": 6, "tables": 1}),
+    "queries": ("queries", {"n_range": [8, 9], "queries": 10}),
 }
 
 SCRIPT = textwrap.dedent(
@@ -36,10 +39,11 @@ SCRIPT = textwrap.dedent(
 )
 
 
-@pytest.mark.parametrize("job", sorted(PASSES))
-def test_benchmark_pass_meets_its_oracle(job):
+@pytest.mark.parametrize("name", sorted(PASSES))
+def test_benchmark_pass_meets_its_oracle(name):
+    job, size = PASSES[name]
     proc = subprocess.run(
-        [sys.executable, "-B", "-c", SCRIPT, str(PERFBENCH), job, json.dumps(PASSES[job])],
+        [sys.executable, "-B", "-c", SCRIPT, str(PERFBENCH), job, json.dumps(size)],
         capture_output=True,
         text=True,
         timeout=120,

@@ -1,5 +1,6 @@
 import ast
 import itertools
+import math
 import threading
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from naplespf import (
     sweep,
     verify_sweep,
 )
-from helpers import api_predicates, loop_all_park, naive_park
+from helpers import api_predicates, loop_all_park, loop_count_perm_invariant, naive_park
 from naplespf import _kernels, characterize, simulator, sweeps
 from naplespf.sweeps import PROPERTIES, TRUE_PROPERTIES, MonotoneWindowViolation
 
@@ -134,6 +135,28 @@ class TestPermInvariantFast:
         for k in range(n + 1):
             fast = count_perm_invariant_fast(n, k)
             assert fast == sweep(n, k).counts["perm_invariant"]
+
+    def test_matches_multiset_scan(self):
+        for n in range(1, 9):
+            for k in range(n + 2):
+                for by_class in (False, True):
+                    got = count_perm_invariant_fast(n, k, by_class)
+                    want = loop_count_perm_invariant(n, k, by_class)
+                    assert got == want, (n, k, by_class)
+
+    def test_wide_windows_closed_forms(self):
+        # max run of u >= 1 is at most n - 1 (positions 2..n), so every
+        # multiset and every sequence is invariant once k >= n - 1
+        for n in range(1, 15):
+            for k in range(max(0, n - 1), n + 2):
+                assert count_perm_invariant_fast(n, k) == n**n, (n, k)
+                classes = count_perm_invariant_fast(n, k, by_class=True)
+                assert classes == math.comb(2 * n - 1, n), (n, k)
+
+    @pytest.mark.parametrize("n, k", [(0, 1), (-1, 0), (3, -1)])
+    def test_rejects_bad_sizes(self, n, k):
+        with pytest.raises(ValueError):
+            count_perm_invariant_fast(n, k)
 
     def test_small_values(self):
         assert count_perm_invariant_fast(1, 1) == 1
