@@ -1,13 +1,17 @@
 """Command-line interface.
 
 Exit codes: 0 success; 1 a checked predicate is false (``classify
---expect``); 2 usage or parse error; 3 a verification sweep found a
-counterexample.  All machine-readable output validates against
+--expect``); 2 usage or parse error; 3 a verification check found a
+counterexample, either in a sweep or in a single-preference command's
+self-check.  :func:`_error_policy` is the one place that turns library
+errors into exit codes.  All machine-readable output validates against
 ``schemas/cli_output.schema.json``.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import sys
 
@@ -23,7 +27,7 @@ from .classify import (
     minimal_naples_k,
 )
 from .core import ParkingPreference, decompose_at, excess
-from .errors import ParkingError
+from .errors import VerificationFailed
 from .simulator import park_with_trace
 from .sweeps import (
     DEFAULT_MAX_N,
@@ -38,30 +42,37 @@ _EXIT_PREDICATE_FALSE = 1
 _EXIT_COUNTEREXAMPLE = 3
 
 
-def _parse_preference(text: str) -> ParkingPreference:
-    try:
-        return ParkingPreference.parse(text)
-    except ParkingError as exc:
-        raise click.UsageError(str(exc)) from exc
+def _error_policy(command):
+    """Map library errors raised by a subcommand to exit codes.
+
+    A failed self-check (:class:`VerificationFailed`) exits 3 with its
+    message on stderr; any other ``ValueError``, every ``ParkingError``
+    included, rejects the command's input as a usage error (exit 2).
+    """
+
+    @functools.wraps(command)
+    def run(*args, **kwargs):
+        try:
+            return command(*args, **kwargs)
+        except VerificationFailed as exc:
+            click.echo(f"Error: {exc}", err=True)
+            sys.exit(_EXIT_COUNTEREXAMPLE)
+        except ValueError as exc:
+            raise click.UsageError(str(exc)) from exc
+
+    return run
 
 
-def _parse_windows(text: str, n: int) -> int | tuple[int, ...]:
-    tokens = [t.strip() for t in text.split(",")]
+def _parse_windows(text: str) -> int | tuple[int, ...]:
+    """A uniform window or a per-car list; ``as_windows`` checks the values."""
     values = []
-    for token in tokens:
+    for token in text.split(","):
+        token = token.strip()
         try:
             values.append(int(token))
         except ValueError:
             raise click.UsageError(f"not an integer: {token!r}") from None
-    if len(values) == 1:
-        if values[0] < 0:
-            raise click.UsageError(f"backward window must be >= 0, got {values[0]}")
-        return values[0]
-    if len(values) != n:
-        raise click.UsageError(f"{len(values)} windows for {n} cars")
-    if any(v < 0 for v in values):
-        raise click.UsageError("backward windows must be >= 0")
-    return tuple(values)
+    return values[0] if len(values) == 1 else tuple(values)
 
 
 def _write_text(text: str, output: str | None) -> None:
@@ -120,30 +131,15 @@ def main() -> None:
 )
 @click.option("--trace", is_flag=True, help="show every spot each car probed")
 @click.option("--json", "as_json", is_flag=True, help="machine-readable output")
+@_error_policy
 def park(preference: str, windows: str, trace: bool, as_json: bool) -> None:
     """Run the parking process and print the outcome map."""
-    pref = _parse_preference(preference)
-    win = _parse_windows(windows, pref.n)
-    try:
-        outcome, steps = park_with_trace(pref, win)
-    except ParkingError as exc:
-        raise click.UsageError(str(exc)) from exc
+    pref = ParkingPreference.parse(preference)
+    outcome, steps = park_with_trace(pref, _parse_windows(windows))
     if as_json:
-        doc: dict = {
-            "spot_of": list(outcome.spot_of),
-            "all_parked": outcome.all_parked,
-        }
+        doc: dict = {"spot_of": list(outcome.spot_of), "all_parked": outcome.all_parked}
         if trace:
-            doc["trace"] = [
-                {
-                    "car": st.car,
-                    "preferred": st.preferred,
-                    "backward_checks": list(st.backward_checks),
-                    "forward_checks": list(st.forward_checks),
-                    "spot": st.spot,
-                }
-                for st in steps
-            ]
+            doc["trace"] = [dataclasses.asdict(st) for st in steps]
         click.echo(json.dumps(doc))
         return
     click.echo(f"outcome: {outcome.render()}")
@@ -186,11 +182,10 @@ def _classification(pref: ParkingPreference, k: int) -> dict:
     default=None,
     help="exit 1 unless this predicate holds (e.g. k-naples, parking-function)",
 )
+@_error_policy
 def classify(preference: str, window: int, as_json: bool, expect: str | None) -> None:
     """Classify a preference: parking function, k-Naples, complete, invariant."""
-    pref = _parse_preference(preference)
-    if window < 0:
-        raise click.UsageError(f"backward window must be >= 0, got {window}")
+    pref = ParkingPreference.parse(preference)
     name = None if expect is None else expect.strip().lower().replace("-", "_")
     if name is not None and name not in PREDICATES:
         raise click.UsageError(
@@ -211,7 +206,9 @@ def classify(preference: str, window: int, as_json: bool, expect: str | None) ->
         sys.exit(_EXIT_PREDICATE_FALSE)
 
 
-def _witness_doc(cert) -> dict:
+def _witness_doc(cert) -> dict | None:
+    if cert is None:
+        return None
     return {
         "interval": list(cert.interval),
         "indices": list(cert.indices),
@@ -219,94 +216,71 @@ def _witness_doc(cert) -> dict:
     }
 
 
+def _witness_text(doc: dict) -> str:
+    shifted = _spots_text(doc["shifted_restriction"])
+    return f"J={{{_spots_text(doc['indices'])}}} shifted={shifted}"
+
+
 @main.command()
 @click.option("-p", "--preference", required=True)
 @click.option("-k", "--window", type=int, required=True)
 @click.option("--all", "all_witnesses", is_flag=True, help="enumerate every witness")
 @click.option("--json", "as_json", is_flag=True)
+@_error_policy
 def witness(preference: str, window: int, all_witnesses: bool, as_json: bool) -> None:
     """Show, per critical interval, a witness subset certifying membership."""
-    pref = _parse_preference(preference)
+    pref = ParkingPreference.parse(preference)
     if window < 1:
         raise click.UsageError(f"witness extraction needs a window >= 1, got {window}")
-    try:
-        prof = excess(pref)
-        entries = []
-        for iv in prof.intervals:
-            cert = find_witness(pref, window, iv)
-            entry = {"interval": list(iv), "witness": cert}
-            if all_witnesses:
-                entry["all_witnesses"] = enumerate_witnesses(pref, window, iv)
-            entries.append(entry)
-    except ParkingError as exc:
-        raise click.UsageError(str(exc)) from exc
-    naples = is_k_naples(pref, window)
+    entries = []
+    for iv in excess(pref).intervals:
+        cert = find_witness(pref, window, iv)
+        entry = {"interval": list(iv), "witness": _witness_doc(cert)}
+        if all_witnesses:
+            entry["all_witnesses"] = [
+                _witness_doc(c) for c in enumerate_witnesses(pref, window, iv)
+            ]
+        entries.append(entry)
+    doc = {
+        "preference": list(pref.prefs),
+        "n": pref.n,
+        "k": window,
+        "k_naples": is_k_naples(pref, window),
+        "intervals": entries,
+    }
     if as_json:
-        doc = {
-            "preference": list(pref.prefs),
-            "n": pref.n,
-            "k": window,
-            "k_naples": naples,
-            "intervals": [
-                {
-                    "interval": e["interval"],
-                    "witness": _witness_doc(e["witness"]) if e["witness"] else None,
-                    **(
-                        {"all_witnesses": [_witness_doc(c) for c in e["all_witnesses"]]}
-                        if all_witnesses
-                        else {}
-                    ),
-                }
-                for e in entries
-            ],
-        }
         click.echo(json.dumps(doc))
         return
-    click.echo(f"k_naples: {'true' if naples else 'false'}")
+    click.echo(f"k_naples: {'true' if doc['k_naples'] else 'false'}")
     if not entries:
         click.echo("no critical intervals")
-        return
-    for e in entries:
-        p, q = e["interval"]
-        cert = e["witness"]
-        if cert is None:
+    for entry in entries:
+        p, q = entry["interval"]
+        if entry["witness"] is None:
             click.echo(f"interval [{p},{q}]: FAIL no witness")
         else:
-            ids = ",".join(str(i) for i in cert.indices)
-            click.echo(
-                f"interval [{p},{q}]: PASS J={{{ids}}}"
-                f" shifted={cert.shifted_restriction.render()}"
-            )
-        if all_witnesses:
-            for cert2 in e["all_witnesses"]:
-                ids = ",".join(str(i) for i in cert2.indices)
-                click.echo(
-                    f"  witness J={{{ids}}} shifted={cert2.shifted_restriction.render()}"
-                )
+            click.echo(f"interval [{p},{q}]: PASS {_witness_text(entry['witness'])}")
+        for other in entry.get("all_witnesses", ()):
+            click.echo(f"  witness {_witness_text(other)}")
 
 
 @main.command()
 @click.option("-p", "--preference", required=True)
 @click.option("-j", "--position", type=int, required=True, help="split position (excess must be 0)")
 @click.option("--json", "as_json", is_flag=True)
+@_error_policy
 def decompose(preference: str, position: int, as_json: bool) -> None:
     """Split a preference at a zero of the excess into lower and upper parts."""
-    pref = _parse_preference(preference)
-    try:
-        lower, upper = decompose_at(pref, position)
-    except (ParkingError, ValueError) as exc:
-        raise click.UsageError(str(exc)) from exc
+    pref = ParkingPreference.parse(preference)
+    lower, upper = decompose_at(pref, position)
     if as_json:
-        click.echo(
-            json.dumps(
-                {
-                    "preference": list(pref.prefs),
-                    "position": position,
-                    "lower": list(lower.prefs) if lower else [],
-                    "upper": list(upper.prefs),
-                }
-            )
-        )
+        doc = {
+            "preference": list(pref.prefs),
+            "position": position,
+            "lower": list(lower.prefs) if lower else [],
+            "upper": list(upper.prefs),
+        }
+        click.echo(json.dumps(doc))
         return
     click.echo(f"lower: {lower.render() if lower else '-'}")
     click.echo(f"upper: {upper.render()}")
@@ -322,6 +296,7 @@ def decompose(preference: str, position: int, as_json: bool) -> None:
 @click.option("-o", "--output", type=click.Path(dir_okay=False), default=None)
 @click.option("--allow-large", is_flag=True, help="permit n = 9")
 @click.option("--classes", is_flag=True, help="also count invariant multiset classes")
+@_error_policy
 def count(
     n: int,
     window: int | None,
@@ -343,17 +318,11 @@ def count(
     if window is not None and not 0 <= window <= n:
         raise click.UsageError(f"need 0 <= -k <= n = {n}, got {window}")
     ks = [window] if window is not None else list(range(0, (k_max if k_max is not None else n) + 1))
-    names = tuple(PREDICATES)
-    if predicates:
-        names = tuple(t.strip() for t in predicates.split(","))
-    try:
-        reports = [
-            sweep(n, k, predicates=names, shards=shards, allow_large=allow_large)
-            for k in ks
-        ]
-    except (ParkingError, ValueError) as exc:
-        raise click.UsageError(str(exc)) from exc
-    docs = [_report_doc(rep) for rep in reports]
+    names = tuple(t.strip() for t in predicates.split(",")) if predicates else PREDICATES
+    docs = [
+        _report_doc(sweep(n, k, predicates=names, shards=shards, allow_large=allow_large))
+        for k in ks
+    ]
     if classes:
         names += ("perm_invariant_classes",)
         for doc in docs:
@@ -379,6 +348,7 @@ def count(
 @click.option("--k-max", type=int, default=None, help="defaults to n for each length")
 @click.option("--verify", is_flag=True, help="machine-check every registered invariant")
 @click.option("--json", "as_json", is_flag=True)
+@_error_policy
 def sweep_cmd(n_max: int, k_max: int | None, verify: bool, as_json: bool) -> None:
     """Sweep all lengths up to n-max; with --verify, hunt for counterexamples."""
     if n_max < 1:

@@ -186,14 +186,17 @@ def shift(pref: ParkingPreference, w: int) -> ParkingPreference:
     >>> shift(ParkingPreference((4, 3, 4, 4)), 2).prefs
     (2, 1, 2, 2)
     """
+    return _shifted(pref.prefs, w)
+
+
+def _shifted(prefs: tuple[int, ...], w: int) -> ParkingPreference:
+    """``prefs`` moved down by w, raising ShiftOutOfRange off the street."""
     w = int(w)
     if w < 0:
         raise ShiftOutOfRange(f"shift must be non-negative, got {w}")
-    if w >= min(pref.prefs):
-        raise ShiftOutOfRange(
-            f"shift by {w} drops entry {min(pref.prefs)} below spot 1"
-        )
-    return ParkingPreference(tuple(a - w for a in pref.prefs))
+    if w >= min(prefs):
+        raise ShiftOutOfRange(f"shift by {w} drops entry {min(prefs)} below spot 1")
+    return ParkingPreference(tuple(a - w for a in prefs))
 
 
 def _as_index_set(indices: Iterable[int], n: int) -> tuple[int, ...]:
@@ -236,13 +239,7 @@ def restrict_shift(
     >>> restrict_shift(alpha, {2, 3, 5, 7, 8}, 2).prefs
     (2, 5, 4, 5, 3)
     """
-    sub = restrict(pref, indices)
-    w = int(w)
-    if w < 0:
-        raise ShiftOutOfRange(f"shift must be non-negative, got {w}")
-    if w >= min(sub):
-        raise ShiftOutOfRange(f"shift by {w} drops entry {min(sub)} below spot 1")
-    return ParkingPreference(tuple(a - w for a in sub))
+    return _shifted(restrict(pref, indices), w)
 
 
 def decompose_at(

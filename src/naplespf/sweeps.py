@@ -40,8 +40,8 @@ from .classify import (
     _equivalences,
     _spot_bounds,
     _spots_below_filled,
-    distinct_rearrangements,
     is_permutation_invariant,
+    permutation_invariant_by_enumeration,
 )
 from .core import ParkingPreference, decompose_at, excess, multiplicities
 from .errors import SizeLimitExceeded, UnknownProperty, VerificationFailed
@@ -380,10 +380,7 @@ def _prop_summary_theorem(c: _Case, k: int) -> bool:
 
 def _prop_perm_invariance(c: _Case, k: int) -> bool:
     structural = is_permutation_invariant(c.pref, k)
-    brute = all(
-        park_uniform(sigma, k).all_parked for sigma in distinct_rearrangements(c.pref)
-    )
-    return structural == brute
+    return structural == permutation_invariant_by_enumeration(c.pref, k)
 
 
 @dataclass(frozen=True)

@@ -468,6 +468,65 @@ class TestSweep:
         ) + "\n"
 
 
+class TestErrorPolicy:
+    """``cli._error_policy`` alone turns library errors into exit codes."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["witness", "-p", "2,2,3", "-k", "1"],
+            ["witness", "-p", "2,2,3", "-k", "1", "--json"],
+            ["sweep", "--n-max", "3", "--verify", "--json"],
+        ],
+        ids=["witness-text", "witness-json", "sweep-json"],
+    )
+    def test_failed_certificate_recheck_exits_3(self, runner, monkeypatch, args):
+        from naplespf import characterize
+
+        monkeypatch.setattr(characterize, "check_certificate", lambda *a: False)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr.startswith(
+            "Error: extracted witness (1, 2) for (2, 2) of 2,2"
+        )
+
+    def test_failed_classify_self_check_exits_3(self, runner, monkeypatch):
+        from naplespf import classify
+        from naplespf.simulator import ParkingOutcome
+
+        monkeypatch.setattr(
+            classify, "park_uniform", lambda pref, k: ParkingOutcome((None,) * pref.n)
+        )
+        args = ["classify", "-p", "1,1,2", "-k", "1", "--expect", "parking-function"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr == "Error: excess and parking disagree on 1,1,2\n"
+
+    @pytest.mark.parametrize(
+        "windows, message",
+        [
+            ("1,-2,0", "backward window must be >= 0, got -2"),
+            ("1,y", "not an integer: 'y'"),
+        ],
+        ids=["negative", "not-integer"],
+    )
+    def test_bad_per_car_window_exits_2(self, runner, windows, message):
+        result = runner.invoke(main, ["park", "-p", "1,2,3", "-k", windows])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.endswith(f"Error: {message}\n")
+
+    def test_every_command_is_wrapped(self):
+        import naplespf.cli as cli_module
+
+        wrapped = cli_module._error_policy(lambda: None).__code__
+        assert main.commands
+        for name, command in main.commands.items():
+            assert command.callback.__code__ is wrapped, name
+
+
 _LAZY_MODULES = ("numpy", "naplespf._kernels", "concurrent.futures")
 
 # Runs ``import naplespf`` and then each command of argv[1] in turn in one

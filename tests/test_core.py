@@ -165,6 +165,17 @@ class TestShift:
             shift(ParkingPreference((2, 1)), -1)
 
 
+    @pytest.mark.parametrize(
+        "w, message",
+        [(-1, "shift must be non-negative, got -1"), (1, "shift by 1 drops entry 1 below spot 1")],
+    )
+    def test_restrict_shift_raises_as_shift(self, w, message):
+        pref = ParkingPreference((2, 1))
+        with pytest.raises(ShiftOutOfRange, match=f"^{message}$"):
+            shift(pref, w)
+        with pytest.raises(ShiftOutOfRange, match=f"^{message}$"):
+            restrict_shift(pref, {1, 2}, w)
+
 class TestRestrict:
     def test_worked_example(self):
         sub = restrict(ParkingPreference((4, 4, 3, 2, 3)), {3, 4, 5})

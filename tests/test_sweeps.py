@@ -24,7 +24,7 @@ from naplespf import (
     verify_sweep,
 )
 from helpers import api_predicates, loop_all_park, loop_count_perm_invariant, naive_park
-from naplespf import _kernels, characterize, simulator, sweeps
+from naplespf import _kernels, characterize, classify, simulator, sweeps
 from naplespf.sweeps import PROPERTIES, TRUE_PROPERTIES, MonotoneWindowViolation
 
 
@@ -314,6 +314,19 @@ class TestVerifySweep:
         assert ce == Counterexample(
             ParkingPreference((1, 1, 4, 4)), 4, 1, "summary_theorem"
         )
+
+    def test_perm_invariance_runs_the_enumeration_oracle(self, monkeypatch):
+        # a fault planted in the brute side that classify exports reaches the
+        # property: rearrangements whose first car prefers spot 3 never park,
+        # which first shows on the multiset (1,1,3), rearranged to (3,1,1)
+        real = classify.is_k_naples
+        monkeypatch.setattr(
+            classify,
+            "is_k_naples",
+            lambda pref, k: pref.prefs[0] != 3 and real(pref, k),
+        )
+        ce = find_counterexample(3, 3, "perm_invariance")
+        assert ce == Counterexample(ParkingPreference((1, 1, 3)), 3, 1, "perm_invariance")
 
     def test_witness_size_bound_fails_on_failed_recheck(self, monkeypatch):
         # the property leaves the certificate check to find_witness, which
