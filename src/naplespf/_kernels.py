@@ -1,24 +1,30 @@
-"""Numpy block kernels for the counting sweeps.
+"""Numpy kernels for the counting sweeps.
 
-:func:`count_range` walks blocks of odometer ranks one car at a time.
-Ranks that share their first i digits share everything the first i cars
-did, so each prefix is carried once.  Its parking state is one int64: bit
-s - 1 is set when spot s is taken, and bit n once some car has exited.
-Where a car parks depends only on the taken spots, its preference and its
-window, so :func:`_children` maps a parent state to its n child states with
-:func:`_step_block`, and for n <= 12 a table of every state's children
-turns each car into one gather.  :func:`naplespf.simulator._step` is the
-scalar reference for the parking rule written here.
+:func:`count_range` counts the preferences of a rank range by a weighted
+DP, one car at a time.  What the predicates ask of a preference is held in
+one int64 node: its parking state and its excess key.  The parking state
+takes the low n + 1 bits: bit s - 1 is set when spot s is taken, and bit n
+once some car has exited (the taken spots are then dropped).  Where a car
+parks depends only on the taken spots, its preference and its window, so
+:func:`_children` maps a state to its n child states with
+:func:`_step_block`.  The excess profile depends only on how many cars
+prefer each spot, so above the state sit n - 1 lanes that count, for
+j = 2..n, the cars preferring a spot below j.  Prefixes that reach the same
+node are merged and carried once, with their number as its weight.
+:func:`naplespf.simulator._step` is the scalar reference for the parking
+rule written here.
 
-Street occupancy lives in an int64 bitmask, so these kernels are limited to
-n <= 62 spots; :func:`count_range` raises ``ValueError`` beyond that, and
-the sweep drivers cap n far below it anyway.
+A node needs (n + 1) + (n - 1) * (n.bit_length() + 1) bits, so
+:func:`count_range` is limited to n <= 11 and raises ``ValueError`` beyond
+that; :func:`naplespf.sweeps.sweep` caps n below it anyway.
 
 :mod:`naplespf.sweeps` imports this module, and with it numpy, only on the
 first counting call.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -34,10 +40,11 @@ IDX_COMPLETE_K_NAPLES = 3
 IDX_PERM_INVARIANT = 4
 N_PREDICATES = 5
 
-#: Ranks per block in count_range; one block is held in memory at a time.
-BLOCK = 8192
-#: Largest n whose spots 1..n fit in an int64 occupancy bitmask.
-MAX_BITMASK_N = 62
+#: Largest n whose node fits in an int64.
+MAX_N = 11
+#: Levels with at most this many nodes are carried unmerged: below a few
+#: hundred nodes, sorting them costs more than it saves.
+MERGE_MIN = 512
 
 
 def _step_block(free, a, k):
@@ -68,6 +75,40 @@ def _children(states, n, window):
     return states[:, None] | (spot >> 1) | ((spot == 0).astype(np.int64) << n)
 
 
+def _lanes(n):
+    """Lane width W of a node, and 1 in lane j - 2 for each j = 2..n."""
+    width = n.bit_length() + 1
+    return width, [1 << (n + 1 + width * (j - 2)) for j in range(2, n + 1)]
+
+
+@functools.lru_cache(maxsize=None)
+def _step_table(n, window):
+    """What one car adds to a node, by parking state and preferred spot.
+
+    Row s, column a - 1 holds the child state minus s, plus 1 in the lane of
+    every position j > a.  Built once per (n, window) and read-only; n <= 11
+    bounds the cache at 66 tables of at most 2^12 x 11 int64 (360 KB).
+    """
+    _, units = _lanes(n)
+    lanes = np.array([sum(units[a:]) for a in range(n)], np.int64)
+    states = np.arange(2 << n, dtype=np.int64)
+    child = _children(states, n, window)
+    # Once a car has exited no predicate reads the taken spots, so an exited
+    # child keeps bit n only and such prefixes merge sooner.
+    child = np.where(child >> n & 1, 1 << n, child)
+    step = child - states[:, None] + lanes
+    step.setflags(write=False)
+    return step
+
+
+def _merge(nodes, weights):
+    """Distinct nodes, sorted, each with the sum of its weights."""
+    order = nodes.argsort()
+    nodes = nodes[order]
+    heads = np.flatnonzero(np.concatenate(([True], nodes[1:] != nodes[:-1])))
+    return nodes[heads], np.add.reduceat(weights[order], heads)
+
+
 def count_range(n, k, start, stop, counts):
     """Accumulate predicate counts over odometer ranks [start, stop) of [n]^n.
 
@@ -76,57 +117,66 @@ def count_range(n, k, start, stop, counts):
     must be an int64 array of length N_PREDICATES and is added to in place,
     so disjoint ranges can be summed in any order.
 
-    Each block of :data:`BLOCK` ranks is walked level by level.  Level i
-    holds the distinct prefixes of i + 1 cars, with ids ``r // n**(n-1-i)``;
-    the parent of prefix c is ``c // n`` and its new car prefers
-    ``c % n + 1``.  A prefix carries its parking state (see
-    :func:`_children`) and its partial excess, one int8 row per position j
-    that starts at j - 1 and loses 1 for each car preferring a spot below j.
-    When all 2^(n+1) states fit in a block (n <= 12), their children are
-    tabulated once per call and each level is one gather from the table;
-    above that each level steps its parents' states.  Raises ``ValueError``
-    when n is outside 1..62, the spots an int64 occupancy bitmask can hold.
+    The prefixes of i cars are walked level by level as nodes (see the
+    module docstring).  Lane j - 2 of a node, W = n.bit_length() + 1 bits
+    wide, counts the cars preferring a spot below j; its top bit stays
+    clear, a guard.  A car preferring spot a moves node x to
+    ``x + step[x & mask, a - 1]``.  A prefix whose ranks all lie in the range
+    is carried with a weight, and equal nodes are merged and their weights
+    summed; the at most two prefixes per level that straddle ``start`` or
+    ``stop - 1`` are walked one by one as Python ints.  At the last level a
+    biased lane has its guard bit clear exactly when position j is critical,
+    u_j = j - 1 - lane >= 1, and every predicate is read off those guard
+    bits and bit n.  Raises ``ValueError`` when n is outside 1..11, the
+    sizes whose node fits an int64.
     """
-    if not 1 <= n <= MAX_BITMASK_N:
-        raise ValueError(f"need 1 <= n <= {MAX_BITMASK_N}, got n={n}")
-    window = min(k, n - 1)  # a car never backs up past spot 1
+    if not 1 <= n <= MAX_N:
+        raise ValueError(f"need 1 <= n <= {MAX_N}, got n={n}")
+    if start >= stop:
+        return
+    width, units = _lanes(n)
+    guard = 1 << (width - 1)  # above any count of cars
+    guards = guard * sum(units)
+    bias = sum((guard - j + 1) * unit for j, unit in enumerate(units, start=2))
+    step = _step_table(n, min(k, n - 1))  # a car never backs up past spot 1
     exited = 1 << n
-    table = None
-    if 2 * exited <= BLOCK:
-        table = _children(np.arange(2 * exited, dtype=np.int64), n, window)
-    # np.repeat(u, n, axis=1) lists n children per parent: column x holds
-    # child x % n, whose car prefers a[x] = x % n + 1 and so lowers u_j by
-    # lower[j - 1, x] = 1 at every position j above a[x].
-    a = np.arange(min(BLOCK, stop - start) + n) % n + 1
-    rows = np.arange(1, n + 1)[:, None]  # position j per row
-    lower = (rows > a).astype(np.int8)
-    for lo in range(start, stop, BLOCK):
-        hi = min(lo + BLOCK, stop)
-        state = np.zeros(1, np.int64)  # no spot taken, no car exited
-        u = (rows - 1).astype(np.int8)
-        for i in range(n):
-            scale = n ** (n - 1 - i)
-            first = lo // scale  # id of the level's first prefix
-            # first - n * (first // n) places the first prefix among its
-            # parent's children; numpy sees offsets below BLOCK + n only,
-            # while the ids stay Python ints past int64.
-            cut = slice(first % n, first % n + (hi - 1) // scale - first + 1)
-            if table is None:
-                state = _children(state, n, window).ravel()[cut]
-            else:
-                state = table[state].ravel()[cut]
-            u = np.repeat(u, n, axis=1)[:, cut]
-            u -= lower[:, cut]
-        parked = (state & exited) == 0
-        # int8 holds every |u_j| and run length, since n <= 62.
-        run = np.zeros(u.shape[1], np.int8)
-        max_run = np.zeros_like(run)  # longest run of critical positions
-        for critical in u >= 1:
-            run = (run + 1) * critical
-            np.maximum(max_run, run, out=max_run)
-        is_complete = (u[1:] >= 1).all(axis=0) & (n >= 2)  # u >= 1 on 2..n
-        counts[IDX_PARKING_FUNCTION] += np.count_nonzero(u.max(axis=0) <= 0)
-        counts[IDX_K_NAPLES] += np.count_nonzero(parked)
-        counts[IDX_COMPLETE] += np.count_nonzero(is_complete)
-        counts[IDX_COMPLETE_K_NAPLES] += np.count_nonzero(is_complete & parked)
-        counts[IDX_PERM_INVARIANT] += np.count_nonzero(max_run <= k)
+    mask = 2 * exited - 1
+
+    size = n**n  # ranks under one prefix of the current level
+    if start <= 0 and size <= stop:
+        nodes, weights, edges = np.zeros(1, np.int64), np.ones(1, np.int64), []
+    else:
+        nodes, weights, edges = np.zeros(0, np.int64), np.zeros(0, np.int64), [(0, 0)]
+    for level in range(1, n + 1):
+        nodes = (nodes[:, None] + step[nodes & mask]).ravel()
+        weights = np.repeat(weights, n)
+        if len(nodes) > MERGE_MIN and level < n:
+            nodes, weights = _merge(nodes, weights)
+        size //= n
+        inside, straddling = [], []
+        for prefix, x in edges:
+            row = step[x & mask].tolist()
+            first = max(prefix * n, start // size)
+            last = min(prefix * n + n - 1, (stop - 1) // size)
+            for child in range(first, last + 1):
+                y = x + row[child - prefix * n]
+                if start <= child * size and (child + 1) * size <= stop:
+                    inside.append(y)
+                else:
+                    straddling.append((child, y))
+        edges = straddling
+        if inside:
+            nodes = np.concatenate([nodes, np.array(inside, np.int64)])
+            weights = np.concatenate([weights, np.ones(len(inside), np.int64)])
+
+    critical = ((nodes + bias) & guards) ^ guards  # guard bit per u_j >= 1
+    parked = (nodes & exited) == 0
+    run = critical  # after t passes: lanes that start t + 1 critical in a row
+    for _ in range(min(k, n - 1)):
+        run = run & (run >> width)
+    is_complete = (critical == guards) & (n >= 2)  # u >= 1 on 2..n
+    counts[IDX_PARKING_FUNCTION] += weights.dot(critical == 0)
+    counts[IDX_K_NAPLES] += weights.dot(parked)
+    counts[IDX_COMPLETE] += weights.dot(is_complete)
+    counts[IDX_COMPLETE_K_NAPLES] += weights.dot(is_complete & parked)
+    counts[IDX_PERM_INVARIANT] += weights.dot(run == 0)

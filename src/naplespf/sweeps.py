@@ -109,10 +109,10 @@ def sweep(
     ``shards`` splits the rank space into that many contiguous ranges (at
     most n^n, one rank each), counted in rank order in the calling thread;
     the counts are identical for any shard count.  Each range is counted by
-    :func:`naplespf._kernels.count_range` in numpy blocks of ranks, walked
-    car by car: each distinct prefix of preferences carries one parking
-    state, and each car maps every state to its child through a table of
-    all occupied sets.  n is capped at 8, or at 9 with ``allow_large``.
+    :func:`naplespf._kernels.count_range`, a weighted DP walked car by car:
+    prefixes that reach the same parking state and the same counts of cars
+    below each spot are carried once, with their number as a weight.  n is
+    capped at 8, or at 9 with ``allow_large``.
 
     >>> sweep(3, 1).counts["k_naples"]
     24

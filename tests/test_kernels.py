@@ -3,11 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import api_predicates, loop_all_park
+from helpers import api_predicates, loop_all_park, naive_count_k_naples
 from naplespf import _kernels, simulator
 from naplespf import (
     ParkingPreference,
     WitnessCertificate,
+    count_perm_invariant_fast,
     enumerate_witnesses,
     excess,
     is_complete,
@@ -127,8 +128,8 @@ class TestCountRange:
             (0, 0),  # empty range
             (12345, 0),
             (777, 1),  # single rank
-            (1024, 2051),  # inside one block
-            (_kernels.BLOCK // 2, _kernels.BLOCK + 3),  # mid-block, spans two
+            (1024, 2051),  # starts and ends inside 3-car prefixes
+            (4096, 8195),  # spans several 2-car prefixes
             (6**6 - 5, 5),  # last ranks of [6]^6
         ],
     )
@@ -148,20 +149,41 @@ class TestCountRange:
             _kernels.count_range(n, k, lo, hi, pieces)
         assert list(pieces) == list(whole)
 
-    @pytest.mark.parametrize("n", [0, -1, _kernels.MAX_BITMASK_N + 1])
+    @pytest.mark.parametrize("n", [7, 8, 9, 10])
+    def test_matches_independent_routes(self, n):
+        # n = 10 has 10^10 preferences: only merged nodes make this finish
+        for k in range(n + 1):
+            got = np.zeros(_kernels.N_PREDICATES, np.int64)
+            _kernels.count_range(n, k, 0, n**n, got)
+            assert got[_kernels.IDX_PARKING_FUNCTION] == (n + 1) ** (n - 1), k
+            assert got[_kernels.IDX_COMPLETE] == (n - 1) ** (n - 1), k
+            assert got[_kernels.IDX_PERM_INVARIANT] == count_perm_invariant_fast(n, k), k
+            assert got[_kernels.IDX_K_NAPLES] == naive_count_k_naples(n, k), k
+
+    @pytest.mark.parametrize("n", [9, 11])
+    def test_mid_subtree_range_matches_loop_reference(self, n):
+        # both ends fall inside prefixes, and the range is wide enough that
+        # the nodes of full prefixes are merged
+        start = n**n // 3 + 12345
+        for k in (0, 2, n):
+            got, want = engine_and_loop(n, k, start, start + 8199)
+            assert got == want, (n, k)
+
+    @pytest.mark.parametrize("n", [0, -1, _kernels.MAX_N + 1])
     def test_rejects_n_beyond_bitmask(self, n):
         out = np.zeros(_kernels.N_PREDICATES, np.int64)
-        with pytest.raises(ValueError, match="n <= 62"):
+        with pytest.raises(ValueError, match="n <= 11"):
             _kernels.count_range(n, 1, 0, 1, out)
         assert not out.any()
 
     def test_largest_bitmask_n(self):
-        # Ranks of [62]^62 exceed int64; the engine decodes them exactly.
-        n = _kernels.MAX_BITMASK_N
+        n = _kernels.MAX_N
+        # a node takes (n + 1) + (n - 1) * (n.bit_length() + 1) bits
+        assert [m + 1 + (m - 1) * (m.bit_length() + 1) for m in (n, n + 1)] == [62, 68]
         first = 0
-        for i in range(n):  # the preference (1, 2, ..., 62)
+        for i in range(n):  # the preference (1, 2, ..., 11)
             first = first * n + i
-        last = n**n - 1  # the preference (62, ..., 62)
+        last = n**n - 1  # the preference (11, ..., 11)
         for k in (0, n):
             got, want = engine_and_loop(n, k, first, first + 1)
             assert got == want == [1, 1, 0, 0, 1], k
@@ -169,15 +191,16 @@ class TestCountRange:
             assert got == want, k
 
     def test_largest_bitmask_n_ranges_compose(self):
-        n, k = _kernels.MAX_BITMASK_N, 3
+        n, k = _kernels.MAX_N, 3
         first = 0
-        for i in range(n):  # the preference (1, 2, ..., 62)
+        for i in range(n):  # the preference (1, 2, ..., 11)
             first = first * n + i
-        stop = first + 2 * _kernels.BLOCK + 5
+        stop = first + 16389
+        edge = -(-first // n**3) * n**3 + n**3  # a boundary of 8-car prefixes
         whole = np.zeros(_kernels.N_PREDICATES, np.int64)
         _kernels.count_range(n, k, first, stop, whole)
         pieces = np.zeros(_kernels.N_PREDICATES, np.int64)
-        cuts = [first, first + 7, first + _kernels.BLOCK + 1, stop - 3, stop]
+        cuts = [first, first + 7, edge - 1, edge + 1, stop - 3, stop]
         for lo, hi in zip(cuts, cuts[1:]):
             _kernels.count_range(n, k, lo, hi, pieces)
         assert list(pieces) == list(whole)
@@ -200,26 +223,6 @@ class TestStateTable:
                         spot = simulator._step(occ, a, k, n)
                         bit = exited if spot is None else 1 << (spot - 1)
                         assert child == state | bit, (n, k, state, a)
-
-    @pytest.mark.parametrize("n, tabulated", [(12, True), (13, False)])
-    def test_both_routes_match_loop_reference(self, n, tabulated, monkeypatch):
-        # a range starting mid-block that spans two blocks; n = 12 is the
-        # largest n whose 2^(n+1) states are tabulated
-        sizes = []
-        children = _kernels._children
-
-        def recording(states, n, window):
-            sizes.append(len(states))
-            return children(states, n, window)
-
-        monkeypatch.setattr(_kernels, "_children", recording)
-        start = n**n // 3 + 12345
-        for k in (0, 2, n):
-            sizes.clear()
-            got, want = engine_and_loop(n, k, start, start + _kernels.BLOCK + 7)
-            assert got == want, (n, k)
-            assert (sizes[0] == 1 << (n + 1)) == tabulated
-            assert (len(sizes) == 1) == tabulated
 
 
 class TestParkKernels:
