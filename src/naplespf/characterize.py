@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from .classify import is_complete, is_k_naples
-from .core import ExcessProfile, ParkingPreference, excess, restrict_shift
+from .core import ParkingPreference, excess, restrict_shift
 from .errors import (
     NotMaximalInterval,
     PreconditionFailed,
@@ -200,7 +200,7 @@ def verify_main_theorem(pref: ParkingPreference, k: int) -> bool:
     """
     if k < 1:
         raise ValueError(f"backward window must be >= 1, got {k}")
-    result = _witnessed(pref, k, excess(pref), find_witness)
+    result = _witnessed(pref, k, find_witness)
     if result != is_k_naples(pref, k):
         raise VerificationFailed(
             f"witnesses ({result}) and parking disagree on {pref} with window {k}",
@@ -209,10 +209,8 @@ def verify_main_theorem(pref: ParkingPreference, k: int) -> bool:
     return result
 
 
-def _witnessed(
-    pref: ParkingPreference, k: int, prof: ExcessProfile, witness: _Lookup
-) -> bool:
-    return all(witness(pref, k, iv) is not None for iv in prof.intervals)
+def _witnessed(pref: ParkingPreference, k: int, witness: _Lookup) -> bool:
+    return all(witness(pref, k, iv) is not None for iv in excess(pref).intervals)
 
 
 def verify_decomposition_lemma(pref: ParkingPreference, k: int, j: int) -> bool:
@@ -283,13 +281,13 @@ class SummaryReport:
 
 
 def _summary_rows(
-    pref: ParkingPreference, k: int, prof: ExcessProfile, witness: _Lookup
+    pref: ParkingPreference, k: int, witness: _Lookup
 ) -> Iterator[tuple[tuple[int, int], bool, WitnessCertificate | None]]:
     """Per maximal interval: (interval, spot p-1 fills, witness or None).
 
     Rows are made one at a time, so a check that stops early skips the rest.
     """
-    for p, q in prof.intervals:
+    for p, q in excess(pref).intervals:
         before = restricted_spot_before_occupied(pref, k, p)
         yield (p, q), before, witness(pref, k, (p, q))
 
@@ -325,7 +323,7 @@ def verify_summary_theorem(pref: ParkingPreference, k: int) -> SummaryReport:
         raise ValueError(f"backward window must be >= 1, got {k}")
     conditions = tuple(
         IntervalConditions((p, q), q - p + 1, q - p + 1 <= k, before, cert)
-        for (p, q), before, cert in _summary_rows(pref, k, excess(pref), find_witness)
+        for (p, q), before, cert in _summary_rows(pref, k, find_witness)
     )
     report = SummaryReport(k, is_k_naples(pref, k), conditions)
     if not report.consistent:

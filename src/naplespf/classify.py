@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import ExcessProfile, ParkingPreference, excess
+from .core import ParkingPreference, excess
 from .errors import (
     NotComplete,
     NotNonincreasing,
@@ -78,7 +78,7 @@ def check_p_minus_1(pref: ParkingPreference, k: int) -> bool:
     if k < 1:
         raise ValueError(f"backward window must be >= 1, got {k}")
     outcome = park_uniform(pref, k)
-    result = _spots_below_filled(outcome, excess(pref))
+    result = _spots_below_filled(pref, outcome)
     if result != outcome.all_parked:
         raise VerificationFailed(
             f"spots p-1 and parking disagree on {pref} with window {k}", (pref, k)
@@ -86,9 +86,9 @@ def check_p_minus_1(pref: ParkingPreference, k: int) -> bool:
     return result
 
 
-def _spots_below_filled(outcome: ParkingOutcome, prof: ExcessProfile) -> bool:
+def _spots_below_filled(pref: ParkingPreference, outcome: ParkingOutcome) -> bool:
     """Whether spot p-1 is occupied for every maximal interval [p, q]."""
-    return all(p - 1 in outcome.spot_of for p, _q in prof.intervals)
+    return all(p - 1 in outcome.spot_of for p, _q in excess(pref).intervals)
 
 
 def necessary_excess_bound(pref: ParkingPreference, k: int) -> bool:
@@ -215,7 +215,7 @@ def quantitative_bound(pref: ParkingPreference, k: int) -> tuple[SpotBound, ...]
     if not is_complete(pref):
         raise NotComplete(f"{pref} is not complete")
     outcome = park_uniform(pref, k)
-    rows = _spot_bounds(pref, outcome, excess(pref))
+    rows = _spot_bounds(pref, outcome)
     if not _bounds_hold(rows, outcome.all_parked):
         raise VerificationFailed(
             f"backward traffic and excess disagree on {pref} with window {k}", rows
@@ -224,8 +224,9 @@ def quantitative_bound(pref: ParkingPreference, k: int) -> tuple[SpotBound, ...]
 
 
 def _spot_bounds(
-    pref: ParkingPreference, outcome: ParkingOutcome, prof: ExcessProfile
+    pref: ParkingPreference, outcome: ParkingOutcome
 ) -> tuple[SpotBound, ...]:
+    prof = excess(pref)
     return tuple(
         SpotBound(j, _parked_before(pref, outcome, j), prof.u(j))
         for j in range(1, pref.n + 1)
@@ -275,15 +276,33 @@ def permutation_invariant_by_enumeration(pref: ParkingPreference, k: int) -> boo
 def minimal_naples_k(pref: ParkingPreference) -> int:
     """Smallest uniform backward window under which every car parks.
 
-    Always at most n-1, since with a window of n-1 every car can reach every
-    spot on the street.  Membership is monotone in k (every k-Naples
-    preference is (k+1)-Naples), so the window is found by bisection.
+    The excess profile brackets the answer: parking under window k forces
+    excess <= k everywhere, so it is at least the maximum excess, and with
+    every maximal critical interval of length <= k every rearrangement
+    parks, so it is at most the longest interval's length.  Membership is
+    monotone in k (every k-Naples preference is (k+1)-Naples), so the
+    window is found by bisection inside that bracket, parking each window
+    at most once.  The answer is then confirmed by parking: the preference
+    parks at it and, above 0, not one below; when either fails,
+    :class:`~naplespf.errors.VerificationFailed` is raised.
     """
-    lo, hi = 0, pref.n - 1  # window hi always parks
+    prof = excess(pref)
+    bottom, top = prof.max_excess, prof.max_interval_length()  # bottom >= u(1) = 0
+    lo, hi = bottom, top
     while lo < hi:
         mid = (lo + hi) // 2
         if is_k_naples(pref, mid):
             hi = mid
         else:
             lo = mid + 1
+    # Below the top the bisection has parked lo, above the bottom lo - 1:
+    # only the ends of the bracket are left to park.
+    if (lo == top and not is_k_naples(pref, lo)) or (
+        lo == bottom and lo > 0 and is_k_naples(pref, lo - 1)
+    ):
+        raise VerificationFailed(
+            f"minimal window {lo} from the excess bracket is not confirmed by "
+            f"parking {pref}",
+            (pref, lo),
+        )
     return lo

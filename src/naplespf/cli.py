@@ -32,6 +32,8 @@ from .simulator import park_with_trace
 from .sweeps import (
     DEFAULT_MAX_N,
     PREDICATES,
+    Counterexample,
+    MonotoneWindowViolation,
     count_perm_invariant_fast,
     find_monotone_window_violation,
     sweep,
@@ -100,17 +102,29 @@ def _spots_text(spots) -> str:
     return ",".join(str(s) for s in spots) if spots else "-"
 
 
-def _exit_counterexample(pref: ParkingPreference, as_json: bool, **fields) -> None:
-    """Print a counterexample as JSON (always with n) or as text, and exit 3."""
+def _counterexample_fields(ce) -> dict:
+    """What a sweep counterexample reports besides its preference."""
+    if isinstance(ce, MonotoneWindowViolation):
+        return {"windows": list(ce.windows), "car": ce.car, "property": "monotone_windows"}
+    return {"n": ce.n, "k": ce.k, "property": ce.property_name}
+
+
+def _counterexample_json(ce) -> str:
+    """The ``sweep --verify --json`` report of a counterexample (always with n)."""
+    doc = {"preference": list(ce.pref.prefs), "n": ce.pref.n, **_counterexample_fields(ce)}
+    return json.dumps({"verified": False, "counterexample": doc})
+
+
+def _exit_counterexample(ce, as_json: bool) -> None:
+    """Print a sweep counterexample as JSON or as text, and exit 3."""
     if as_json:
-        doc = {"preference": list(pref.prefs), "n": pref.n, **fields}
-        click.echo(json.dumps({"verified": False, "counterexample": doc}))
+        click.echo(_counterexample_json(ce))
     else:
         shown = ", ".join(
             f"{key}={_spots_text(v) if isinstance(v, list) else v}"
-            for key, v in fields.items()
+            for key, v in _counterexample_fields(ce).items()
         )
-        click.echo(f"counterexample: {pref.render()} ({shown})")
+        click.echo(f"counterexample: {ce.pref.render()} ({shown})")
     sys.exit(_EXIT_COUNTEREXAMPLE)
 
 
@@ -372,24 +386,24 @@ def sweep_cmd(n_max: int, k_max: int | None, verify: bool, as_json: bool) -> Non
         if as_json:
             click.echo(json.dumps({"reports": doc}))
         return
-    for n in range(1, n_max + 1):
-        ks = range(1, min(k_max if k_max is not None else n, n) + 1)
-        ce = verify_sweep(n, ks=list(ks))
-        if ce is not None:
-            _exit_counterexample(
-                ce.pref, as_json, n=ce.n, k=ce.k, property=ce.property_name
-            )
-        if not as_json:
-            click.echo(f"n={n}: all invariants hold")
-    violation = find_monotone_window_violation(n_max)
+    try:
+        for n in range(1, n_max + 1):
+            ks = range(1, min(k_max if k_max is not None else n, n) + 1)
+            ce = verify_sweep(n, ks=list(ks))
+            if ce is not None:
+                _exit_counterexample(ce, as_json)
+            if not as_json:
+                click.echo(f"n={n}: all invariants hold")
+        violation = find_monotone_window_violation(n_max)
+    except VerificationFailed as exc:
+        # a self-check failed inside the sweep: report its case as a
+        # counterexample, then let _error_policy exit 3
+        hit = exc.counterexample
+        if as_json and isinstance(hit, (Counterexample, MonotoneWindowViolation)):
+            click.echo(_counterexample_json(hit))
+        raise
     if violation is not None:
-        _exit_counterexample(
-            violation.pref,
-            as_json,
-            windows=list(violation.windows),
-            car=violation.car,
-            property="monotone_windows",
-        )
+        _exit_counterexample(violation, as_json)
     if as_json:
         click.echo(json.dumps({"verified": True, "counterexample": None}))
     else:

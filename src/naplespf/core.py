@@ -8,7 +8,8 @@ the maximal runs of such positions (the critical intervals) drive everything
 else in this package: classification, completeness, and witness extraction.
 
 All values are immutable and all operations are pure functions, so they can
-be shared freely across threads.
+be shared freely across threads.  A preference keeps its excess profile once
+:func:`excess` has made it; two threads racing to make it store equal values.
 """
 
 from __future__ import annotations
@@ -52,17 +53,19 @@ class ParkingPreference:
 
     prefs: tuple[int, ...]
 
+    # The excess profile, made by the first excess(pref).  Not a field, so
+    # ==, hash and repr never see it; __getstate__ leaves it out of pickles.
+    _excess = None
+
     def __post_init__(self) -> None:
-        prefs = tuple(int(a) for a in self.prefs)
+        prefs = tuple(map(int, self.prefs))
         object.__setattr__(self, "prefs", prefs)
         n = len(prefs)
         if n == 0:
             raise InvalidPreference("a parking preference needs at least one car")
-        for a in prefs:
-            if not 1 <= a <= n:
-                raise InvalidPreference(
-                    f"preference entry {a} is outside the street 1..{n}"
-                )
+        if min(prefs) < 1 or max(prefs) > n:
+            a = next(a for a in prefs if not 1 <= a <= n)
+            raise InvalidPreference(f"preference entry {a} is outside the street 1..{n}")
 
     @property
     def n(self) -> int:
@@ -95,6 +98,9 @@ class ParkingPreference:
 
     def __str__(self) -> str:
         return self.render()
+
+    def __getstate__(self) -> dict:
+        return {"prefs": self.prefs}
 
 
 @dataclass(frozen=True)
@@ -156,16 +162,25 @@ def critical_intervals(values: Sequence[int]) -> tuple[tuple[int, int], ...]:
 
 
 def excess(pref: ParkingPreference) -> ExcessProfile:
-    """Excess profile of a preference.
+    """Excess profile of a preference, made once per preference object.
 
     The excess at position j is (cars preferring a spot >= j) - (spots from j
-    onward); position 1 always has excess 0.
+    onward); position 1 always has excess 0.  The profile is stored on the
+    preference, so every later call returns the same object.
 
     >>> excess(ParkingPreference((2, 3, 3))).values
     (0, 1, 1)
     >>> excess(ParkingPreference((2, 3, 3))).intervals
     ((2, 3),)
     """
+    prof = pref._excess
+    if prof is None:
+        prof = _excess_profile(pref)
+        object.__setattr__(pref, "_excess", prof)
+    return prof
+
+
+def _excess_profile(pref: ParkingPreference) -> ExcessProfile:
     m = multiplicities(pref)
     n = pref.n
     values = []

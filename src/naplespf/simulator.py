@@ -95,42 +95,40 @@ def _step(occ: int, a: int, k: int, n_spots: int) -> int | None:
 
     ``occ`` has bit s set for each taken spot s.  The car takes its
     preferred spot, else the nearest free spot at most k behind it, else the
-    first free spot ahead.  :func:`_run` and the monotone-window search call it.
+    first free spot ahead, and exits if that lies past ``n_spots``.  Each
+    case is a few bit operations, not a probe loop: the spot behind is the
+    highest clear bit of ``occ`` in 1..a-1, taken when the window reaches
+    it, and the spot ahead the lowest clear bit above a.  :func:`_run` and
+    the monotone-window search call it.
     """
     if not occ >> a & 1:
         return a
-    for t in range(a - 1, max(1, a - k) - 1, -1):
-        if not occ >> t & 1:
-            return t
-    for t in range(a + 1, n_spots + 1):
-        if not occ >> t & 1:
-            return t
-    return None
+    behind = (~occ & ((1 << a) - 2)).bit_length() - 1  # -1 when 1..a-1 is full
+    if behind > 0 and behind >= a - k:
+        return behind
+    above = occ >> (a + 1)
+    spot = a + (~above & (above + 1)).bit_length()
+    return spot if spot <= n_spots else None
 
 
 def _run(
-    prefs: Sequence[int],
-    windows: Sequence[int],
-    n_spots: int,
-    record: bool,
-) -> tuple[list[int | None], ParkingTrace]:
+    prefs: Sequence[int], windows: Sequence[int], n_spots: int
+) -> list[int | None]:
+    """Final spot of each car in turn, None for a car that exits.
+
+    Looks up the module's :func:`_step` on every call, so a rule patched in
+    there reaches :func:`park`.  Nothing is recorded while the cars park;
+    :func:`park_with_trace` derives the probes from the outcome afterwards.
+    """
+    step = _step
     occ = 0
     spots: list[int | None] = []
-    steps: list[CarStep] = []
     for a, k in zip(prefs, windows):
-        spot = _step(occ, a, k, n_spots)
+        spot = step(occ, a, k, n_spots)
         if spot is not None:
             occ |= 1 << spot
         spots.append(spot)
-        if record:  # the probes follow from (a, k, spot)
-            back = fwd = ()
-            if spot is not None and spot < a:
-                back = tuple(range(a - 1, spot - 1, -1))
-            elif spot != a:
-                back = tuple(range(a - 1, max(1, a - k) - 1, -1))
-                fwd = tuple(range(a + 1, (spot or n_spots) + 1))
-            steps.append(CarStep(len(spots), a, back, fwd, spot))
-    return spots, tuple(steps)
+    return spots
 
 
 def park(pref: ParkingPreference, windows: int | Sequence[int]) -> ParkingOutcome:
@@ -142,17 +140,26 @@ def park(pref: ParkingPreference, windows: int | Sequence[int]) -> ParkingOutcom
     '2,3,X'
     """
     win = as_windows(windows, pref.n)
-    spots, _ = _run(pref.prefs, win, pref.n, record=False)
-    return ParkingOutcome(tuple(spots))
+    return ParkingOutcome(tuple(_run(pref.prefs, win, pref.n)))
 
 
 def park_with_trace(
     pref: ParkingPreference, windows: int | Sequence[int]
 ) -> tuple[ParkingOutcome, ParkingTrace]:
     """Like :func:`park`, also recording every spot each car probed."""
-    win = as_windows(windows, pref.n)
-    spots, steps = _run(pref.prefs, win, pref.n, record=True)
-    return ParkingOutcome(tuple(spots)), steps
+    n = pref.n
+    win = as_windows(windows, n)
+    spots = _run(pref.prefs, win, n)
+    steps = []
+    for car, (a, k, spot) in enumerate(zip(pref.prefs, win, spots), start=1):
+        back = fwd = ()  # the probes follow from (a, k, spot)
+        if spot is not None and spot < a:
+            back = tuple(range(a - 1, spot - 1, -1))
+        elif spot != a:
+            back = tuple(range(a - 1, max(1, a - k) - 1, -1))
+            fwd = tuple(range(a + 1, (spot or n) + 1))
+        steps.append(CarStep(car, a, back, fwd, spot))
+    return ParkingOutcome(tuple(spots)), tuple(steps)
 
 
 def park_uniform(pref: ParkingPreference, k: int) -> ParkingOutcome:
@@ -175,5 +182,4 @@ def park_cars(
         windows = (operator.index(windows),) * len(prefs)
     except TypeError:
         pass
-    spots, _ = _run(prefs, windows, n_spots, record=False)
-    return spots
+    return _run(prefs, windows, n_spots)

@@ -188,8 +188,9 @@ def count_perm_invariant_fast(n: int, k: int, by_class: bool = False) -> int:
 # profile, witnesses) is computed once per preference and never outlives
 # the call.  A fact that a public check_* or verify_* function also states
 # has one body in classify or characterize: the property feeds it the
-# record's outcome, profile and witness lookup, while the public function
-# computes its own and raises VerificationFailed.
+# record's outcome and witness lookup, while the public function computes
+# its own and raises VerificationFailed.  Both read the excess profile that
+# the preference itself keeps.
 # --------------------------------------------------------------------------
 
 
@@ -209,12 +210,14 @@ class MonotoneWindowViolation:
 
 
 class _Case:
-    """One preference's excess profile, outcomes and witnesses, each made once."""
+    """One preference's outcomes and witnesses, each made once.
+
+    The excess profile needs no slot here: the preference keeps its own.
+    """
 
     def __init__(self, pref: ParkingPreference):
         self.pref = pref
-        self.prof = excess(pref)
-        self.complete = pref.n >= 2 and self.prof.intervals == ((2, pref.n),)
+        self.complete = pref.n >= 2 and excess(pref).intervals == ((2, pref.n),)
         self._outs: dict[int, ParkingOutcome] = {}
         self._certs: dict[tuple, WitnessCertificate | None] = {}
 
@@ -234,13 +237,13 @@ class _Case:
 
 
 def _prop_easy_characterization(c: _Case, k: int) -> bool:
-    return c.prof.is_empty == c.out(0).all_parked
+    return excess(c.pref).is_empty == c.out(0).all_parked
 
 
 def _prop_excess_formulas(c: _Case, k: int) -> bool:
     m = multiplicities(c.pref)
     n = c.pref.n
-    vals = c.prof.values
+    vals = excess(c.pref).values
     if vals[0] != 0:
         return False
     for j in range(1, n + 1):
@@ -257,10 +260,11 @@ def _prop_excess_formulas(c: _Case, k: int) -> bool:
 
 def _prop_elementary_intervals(c: _Case, k: int) -> bool:
     m = multiplicities(c.pref)
-    for p, q in c.prof.intervals:
+    prof = excess(c.pref)
+    for p, q in prof.intervals:
         if p < 2:
             return False
-        if c.prof.u(p) != 1 or c.prof.u(p - 1) != 0:
+        if prof.u(p) != 1 or prof.u(p - 1) != 0:
             return False
         if m[p - 2] != 0 or m[q - 1] < 2:
             return False
@@ -268,13 +272,14 @@ def _prop_elementary_intervals(c: _Case, k: int) -> bool:
 
 
 def _prop_decomposition_excess(c: _Case, k: int) -> bool:
+    vals = excess(c.pref).values
     for j in range(1, c.pref.n + 1):
-        if c.prof.u(j) != 0:
+        if vals[j - 1] != 0:
             continue
         lower, upper = decompose_at(c.pref, j)
-        if lower is not None and excess(lower).values != c.prof.values[: j - 1]:
+        if lower is not None and excess(lower).values != vals[: j - 1]:
             return False
-        if excess(upper).values != c.prof.values[j - 1 :]:
+        if excess(upper).values != vals[j - 1 :]:
             return False
     return True
 
@@ -282,12 +287,12 @@ def _prop_decomposition_excess(c: _Case, k: int) -> bool:
 def _prop_necessary_excess_bound(c: _Case, k: int) -> bool:
     if not c.out(k).all_parked:
         return True
-    return c.prof.max_excess <= k
+    return excess(c.pref).max_excess <= k
 
 
 def _prop_excess_bound_sufficient(c: _Case, k: int) -> bool:
     # Deliberately false: the excess bound does not imply parking.
-    if c.prof.max_excess > k:
+    if excess(c.pref).max_excess > k:
         return True
     return c.out(k).all_parked
 
@@ -295,7 +300,7 @@ def _prop_excess_bound_sufficient(c: _Case, k: int) -> bool:
 def _prop_nonincreasing_sufficiency(c: _Case, k: int) -> bool:
     if any(a < b for a, b in zip(c.pref.prefs, c.pref.prefs[1:])):
         return True
-    if c.prof.max_excess > k:
+    if excess(c.pref).max_excess > k:
         return True
     return c.out(k).all_parked
 
@@ -310,14 +315,14 @@ def _prop_drive_forward(c: _Case, k: int) -> bool:
         for a2, s2 in pairs:
             if a2 >= s and s2 is not None and s2 <= s:
                 return False
-        if out.all_parked and c.prof.u(s) > -1:
+        if out.all_parked and excess(c.pref).u(s) > -1:
             return False
     return True
 
 
 def _prop_p_minus_1(c: _Case, k: int) -> bool:
     out = c.out(k)
-    return _spots_below_filled(out, c.prof) == out.all_parked
+    return _spots_below_filled(c.pref, out) == out.all_parked
 
 
 def _prop_char_complete(c: _Case, k: int) -> bool:
@@ -328,24 +333,24 @@ def _prop_char_complete(c: _Case, k: int) -> bool:
 
 def _prop_quantitative_bound(c: _Case, k: int) -> bool:
     out = c.out(k)
-    rows = _spot_bounds(c.pref, out, c.prof) if c.complete else ()
+    rows = _spot_bounds(c.pref, out) if c.complete else ()
     return _bounds_hold(rows, out.all_parked)
 
 
 def _prop_restricted_translated(c: _Case, k: int) -> bool:
-    zeros = [j for j, u in enumerate(c.prof.values[1:], 2) if u == 0]
+    zeros = [j for j, u in enumerate(excess(c.pref).values[1:], 2) if u == 0]
     parked = c.out(k).all_parked
     return not parked or all(_upper_part_parks(c.pref, k, j) for j in zeros)
 
 
 def _prop_main_characterization(c: _Case, k: int) -> bool:
-    return _witnessed(c.pref, k, c.prof, c.witness) == c.out(k).all_parked
+    return _witnessed(c.pref, k, c.witness) == c.out(k).all_parked
 
 
 def _prop_witness_size(c: _Case, k: int) -> bool:
     if not c.out(k).all_parked:
         return True
-    for p, q in c.prof.intervals:
+    for p, q in excess(c.pref).intervals:
         cert = c.witness(c.pref, k, (p, q))
         if cert is None:
             return False
@@ -357,7 +362,7 @@ def _prop_witness_size(c: _Case, k: int) -> bool:
 def _prop_search_matches_extraction(c: _Case, k: int) -> bool:
     if c.pref.n > _SUBSET_SEARCH_CAP:
         return True
-    for p, q in c.prof.intervals:
+    for p, q in excess(c.pref).intervals:
         found = next(_witness_subsets(c.pref.prefs, k, p, q), None) is not None
         if found != (c.witness(c.pref, k, (p, q)) is not None):
             return False
@@ -374,7 +379,7 @@ def _prop_tail_lemma(c: _Case, k: int) -> bool:
 
 
 def _prop_summary_theorem(c: _Case, k: int) -> bool:
-    rows = _summary_rows(c.pref, k, c.prof, c.witness)
+    rows = _summary_rows(c.pref, k, c.witness)
     return _summary_consistent(k, c.out(k).all_parked, rows)
 
 
@@ -543,9 +548,13 @@ def verify_sweep(
     multiset (both sides only depend on it); everything else runs per
     preference, on one record that computes each outcome, the excess and
     each witness once and is dropped before the next preference.  Returns
-    the first counterexample or None.  With ``perm_invariance`` selected, n
-    above 7 raises :class:`~naplespf.errors.SizeLimitExceeded` before any
-    preference is visited.
+    the first counterexample or None.  A self-check that raises
+    :class:`~naplespf.errors.VerificationFailed` inside a property is
+    raised again, with the same message and the :class:`Counterexample`
+    (preference, n, k, property) being checked as its ``counterexample``.
+    With ``perm_invariance`` selected, n above 7 raises
+    :class:`~naplespf.errors.SizeLimitExceeded` before any preference is
+    visited.
     """
     if ks is None:
         ks = range(1, n + 1)
@@ -565,8 +574,14 @@ def verify_sweep(
             case = _Case(ParkingPreference(tup))
             for prop in props:
                 for k in (prop.k_min,) if prop.k_independent else ks:
-                    if k >= prop.k_min and not prop.check(case, k):
-                        return Counterexample(case.pref, n, k, prop.name)
+                    if k < prop.k_min:
+                        continue
+                    try:
+                        if not prop.check(case, k):
+                            return Counterexample(case.pref, n, k, prop.name)
+                    except VerificationFailed as exc:
+                        ce = Counterexample(case.pref, n, k, prop.name)
+                        raise VerificationFailed(str(exc), ce) from exc
         return None
 
     per_pref = [PROPERTIES[name] for name in names if name != "perm_invariance"]
@@ -629,12 +644,14 @@ def _rebuild(parent: dict, state: tuple, last: tuple, occ: int, n: int):
     prefs, windows, bumps = zip(*cars)
     pref, car = ParkingPreference(prefs), 1 + bumps.index(1)
     bumped = windows[: car - 1] + (windows[car - 1] + 1,) + windows[car:]
+    violation = MonotoneWindowViolation(pref, windows, car)
     if not park(pref, windows).all_parked or park(pref, bumped).all_parked:
         raise VerificationFailed(
             f"monotone-window search hit {pref.prefs} with windows {windows} "
-            f"and car {car}, which the simulator does not confirm"
+            f"and car {car}, which the simulator does not confirm",
+            violation,
         )
-    return MonotoneWindowViolation(pref, windows, car)
+    return violation
 
 
 def find_monotone_window_violation(

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from helpers import SRC, preferences
+from naplespf import classify
 from naplespf import (
     CompleteEquivalences,
     NotComplete,
@@ -15,6 +16,7 @@ from naplespf import (
     SizeLimitExceeded,
     SpotBound,
     TooShort,
+    VerificationFailed,
     cars_parked_before,
     check_p_minus_1,
     complete_naples_equivalences,
@@ -261,6 +263,39 @@ class TestMinimalWindow:
         assert is_k_naples(pref, k)
         if k > 0:
             assert not is_k_naples(pref, k - 1)
+
+    def test_parks_no_window_twice(self, monkeypatch):
+        windows = []
+        real = classify.park_uniform
+
+        def recording(pref, k):
+            windows.append(k)
+            return real(pref, k)
+
+        monkeypatch.setattr(classify, "park_uniform", recording)
+        for n in range(1, 7):
+            for tup in itertools.product(range(1, n + 1), repeat=n):
+                windows.clear()
+                minimal_naples_k(ParkingPreference(tup))
+                assert windows and len(windows) == len(set(windows)), (tup, windows)
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            lambda real, pref, k: k != 2 and real(pref, k),
+            lambda real, pref, k: True,
+        ],
+        ids=["fails-at-top", "parks-below-bottom"],
+    )
+    def test_wrong_bracket_raises(self, monkeypatch, fault):
+        # (2,3,3) has maximum excess 1 and one interval of length 2, so the
+        # bracket is [1, 2]; a rule that breaks either end is caught
+        real = classify.is_k_naples
+        monkeypatch.setattr(
+            classify, "is_k_naples", lambda pref, k: fault(real, pref, k)
+        )
+        with pytest.raises(VerificationFailed, match="not confirmed by parking"):
+            minimal_naples_k(ParkingPreference((2, 3, 3)))
 
 
 def test_planted_outcomes_raise_under_python_O():

@@ -172,6 +172,28 @@ class TestWitness:
         assert result.exit_code == 2
 
 
+class TestExcessProfileOnce:
+    @pytest.mark.parametrize(
+        "command", [["classify", "--json"], ["witness", "--all", "--json"]]
+    )
+    def test_one_profile_per_preference(self, runner, monkeypatch, command):
+        from naplespf import core
+
+        made = []  # holds every preference, so no two share an id
+        real = core._excess_profile
+
+        def recording(pref):
+            made.append(pref)
+            return real(pref)
+
+        monkeypatch.setattr(core, "_excess_profile", recording)
+        args = command + ["-p", "8,4,7,1,6,8,7,5,10,1", "-k", "2"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        assert sum(p.prefs == (8, 4, 7, 1, 6, 8, 7, 5, 10, 1) for p in made) == 1
+        assert len({id(p) for p in made}) == len(made)
+
+
 class TestDecompose:
     def test_text_output(self, runner):
         result = runner.invoke(main, ["decompose", "-p", "4,4,3,2,3", "-j", "4"])
@@ -471,25 +493,58 @@ class TestSweep:
 class TestErrorPolicy:
     """``cli._error_policy`` alone turns library errors into exit codes."""
 
+    # sweep --verify --json reports the case whose self-check failed as a
+    # counterexample; the single-preference commands print nothing
+    _SWEEP_CE = {"preference": [2, 2], "n": 2, "k": 1, "property": "main_characterization"}
+
     @pytest.mark.parametrize(
-        "args",
+        "args, stdout",
         [
-            ["witness", "-p", "2,2,3", "-k", "1"],
-            ["witness", "-p", "2,2,3", "-k", "1", "--json"],
-            ["sweep", "--n-max", "3", "--verify", "--json"],
+            (["witness", "-p", "2,2,3", "-k", "1"], ""),
+            (["witness", "-p", "2,2,3", "-k", "1", "--json"], ""),
+            (
+                ["sweep", "--n-max", "3", "--verify", "--json"],
+                json.dumps({"verified": False, "counterexample": _SWEEP_CE}) + "\n",
+            ),
         ],
         ids=["witness-text", "witness-json", "sweep-json"],
     )
-    def test_failed_certificate_recheck_exits_3(self, runner, monkeypatch, args):
+    def test_failed_certificate_recheck_exits_3(self, runner, monkeypatch, args, stdout):
         from naplespf import characterize
 
         monkeypatch.setattr(characterize, "check_certificate", lambda *a: False)
         result = runner.invoke(main, args)
         assert result.exit_code == 3
-        assert result.stdout == ""
+        assert result.stdout == stdout
+        if stdout:
+            validate(json.loads(stdout), "sweep")
         assert result.stderr.startswith(
             "Error: extracted witness (1, 2) for (2, 2) of 2,2"
         )
+
+    def test_unconfirmed_monotone_hit_reported_as_json(self, runner, monkeypatch):
+        import naplespf.cli as cli_module
+        from naplespf import MonotoneWindowViolation, ParkingPreference, VerificationFailed
+
+        hit = MonotoneWindowViolation(ParkingPreference((1, 3, 2)), (0, 2, 1), 2)
+
+        def unconfirmed(n_max):
+            raise VerificationFailed("the simulator does not confirm", hit)
+
+        monkeypatch.setattr(cli_module, "verify_sweep", lambda n, ks: None)
+        monkeypatch.setattr(cli_module, "find_monotone_window_violation", unconfirmed)
+        result = runner.invoke(main, ["sweep", "--n-max", "2", "--verify", "--json"])
+        assert result.exit_code == 3
+        doc = json.loads(result.stdout)
+        validate(doc, "sweep")
+        assert doc["counterexample"] == {
+            "preference": [1, 3, 2],
+            "n": 3,
+            "windows": [0, 2, 1],
+            "car": 2,
+            "property": "monotone_windows",
+        }
+        assert result.stderr == "Error: the simulator does not confirm\n"
 
     def test_failed_classify_self_check_exits_3(self, runner, monkeypatch):
         from naplespf import classify

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, settings
 
@@ -97,6 +99,15 @@ class TestExcess:
     def test_complete_example(self):
         prof = excess(ParkingPreference((5, 3, 3, 5, 4)))
         assert prof.intervals == ((2, 5),)
+
+    def test_cached_profile_is_invisible(self):
+        fresh, cached = ParkingPreference((2, 3, 3)), ParkingPreference((2, 3, 3))
+        assert excess(cached) is excess(cached)
+        assert fresh == cached and hash(fresh) == hash(cached)
+        assert repr(fresh) == repr(cached) == "ParkingPreference(prefs=(2, 3, 3))"
+        assert pickle.dumps(cached) == pickle.dumps(fresh)
+        loaded = pickle.loads(pickle.dumps(cached))
+        assert loaded == cached and excess(loaded) == excess(cached)
 
     def test_critical_intervals_on_raw_values(self):
         assert critical_intervals([0, 1, 1, 0, 2, -1]) == ((2, 3), (5, 5))

@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import naive_candidates, naive_park, preferences, preferences_with_windows
+from helpers import (
+    naive_candidates,
+    naive_park,
+    naive_spot,
+    preferences,
+    preferences_with_windows,
+)
+from naplespf import simulator
 from naplespf import (
     UNPARKED,
     InvalidPreference,
@@ -58,6 +65,19 @@ class TestOutcomes:
     def test_occupant_map(self):
         out = park_uniform(ParkingPreference((3, 4, 4, 4, 3)), 3)
         assert out.occupant_of() == {3: 1, 4: 2, 2: 3, 1: 4, 5: 5}
+
+
+class TestStep:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_naive_spot(self, n):
+        # every occupied set of 1..n, every preference and every window up to
+        # n + 1 (windows past the street behave like n - 1)
+        for occ in range(0, 1 << (n + 1), 2):
+            taken = {s for s in range(1, n + 1) if occ >> s & 1}
+            for a in range(1, n + 1):
+                for k in range(n + 2):
+                    want = naive_spot(taken, a, k, n)
+                    assert simulator._step(occ, a, k, n) == want, (taken, a, k)
 
 
 class TestWindows:

@@ -330,11 +330,15 @@ class TestVerifySweep:
 
     def test_witness_size_bound_fails_on_failed_recheck(self, monkeypatch):
         # the property leaves the certificate check to find_witness, which
-        # must run it on every witness, also after an earlier clean sweep
+        # must run it on every witness, also after an earlier clean sweep;
+        # the error names the case being checked
         assert verify_sweep(3, properties=["witness_size_bound"]) is None
         monkeypatch.setattr(characterize, "check_certificate", lambda *a: False)
-        with pytest.raises(VerificationFailed):
+        with pytest.raises(VerificationFailed, match="extracted witness") as info:
             verify_sweep(3, properties=["witness_size_bound"])
+        assert info.value.counterexample == Counterexample(
+            ParkingPreference((1, 3, 3)), 3, 1, "witness_size_bound"
+        )
 
 
 def loop_monotone_window_violation(n, all_park):
@@ -429,8 +433,10 @@ class TestMonotoneWindows:
             "park",
             lambda pref, w: ParkingOutcome(tuple(naive_park(pref.prefs, w))),
         )
-        with pytest.raises(VerificationFailed, match="does not confirm"):
+        with pytest.raises(VerificationFailed, match="does not confirm") as info:
             find_monotone_window_violation(2)
+        hit = info.value.counterexample
+        assert isinstance(hit, MonotoneWindowViolation) and hit.pref.n == 2
 
     def test_size_cap(self, monkeypatch):
         searched = []
