@@ -15,8 +15,8 @@ node are merged and carried once, with their number as its weight.
 rule written here.
 
 A node needs (n + 1) + (n - 1) * (n.bit_length() + 1) bits, so
-:func:`count_range` is limited to n <= 11 and raises ``ValueError`` beyond
-that; :func:`naplespf.sweeps.sweep` caps n below it anyway.
+:func:`count_range` is limited to n <= 11, the one size limit on counting:
+it raises :class:`~naplespf.errors.SizeLimitExceeded` beyond that.
 
 :mod:`naplespf.sweeps` imports this module, and with it numpy, only on the
 first counting call.
@@ -27,6 +27,8 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+
+from .errors import SizeLimitExceeded
 
 #: Recorded by perfbench/jobs.py in every benchmark report; the kernels are
 #: numpy code and nothing in the package reads this.
@@ -127,11 +129,13 @@ def count_range(n, k, start, stop, counts):
     ``stop - 1`` are walked one by one as Python ints.  At the last level a
     biased lane has its guard bit clear exactly when position j is critical,
     u_j = j - 1 - lane >= 1, and every predicate is read off those guard
-    bits and bit n.  Raises ``ValueError`` when n is outside 1..11, the
-    sizes whose node fits an int64.
+    bits and bit n.  Raises ``ValueError`` when n < 1, and its subclass
+    :class:`~naplespf.errors.SizeLimitExceeded` when n > 11, where a node no
+    longer fits an int64.
     """
     if not 1 <= n <= MAX_N:
-        raise ValueError(f"need 1 <= n <= {MAX_N}, got n={n}")
+        error = SizeLimitExceeded if n > MAX_N else ValueError
+        raise error(f"need 1 <= n <= {MAX_N}, got n={n}")
     if start >= stop:
         return
     width, units = _lanes(n)

@@ -19,7 +19,6 @@ import click
 
 from .characterize import enumerate_witnesses, find_witness
 from .classify import (
-    _REARRANGEMENT_CAP,
     is_complete,
     is_k_naples,
     is_parking_function,
@@ -30,7 +29,6 @@ from .core import ParkingPreference, decompose_at, excess
 from .errors import VerificationFailed
 from .simulator import park_with_trace
 from .sweeps import (
-    DEFAULT_MAX_N,
     PREDICATES,
     Counterexample,
     MonotoneWindowViolation,
@@ -42,6 +40,9 @@ from .sweeps import (
 
 _EXIT_PREDICATE_FALSE = 1
 _EXIT_COUNTEREXAMPLE = 3
+# sweep --verify stops at n = 7 for time alone: verify_sweep(6) takes about
+# 28 s pinned to one vCPU of a Xeon, and n = 7 has 17.7x as many preferences.
+_VERIFY_MAX_N = 7
 
 
 def _error_policy(command):
@@ -308,7 +309,6 @@ def decompose(preference: str, position: int, as_json: bool) -> None:
 @click.option("--shards", type=int, default=1, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
 @click.option("-o", "--output", type=click.Path(dir_okay=False), default=None)
-@click.option("--allow-large", is_flag=True, help="permit n = 9")
 @click.option("--classes", is_flag=True, help="also count invariant multiset classes")
 @_error_policy
 def count(
@@ -319,7 +319,6 @@ def count(
     shards: int,
     fmt: str,
     output: str | None,
-    allow_large: bool,
     classes: bool,
 ) -> None:
     """Count predicate hits over all n^n preferences."""
@@ -333,10 +332,7 @@ def count(
         raise click.UsageError(f"need 0 <= -k <= n = {n}, got {window}")
     ks = [window] if window is not None else list(range(0, (k_max if k_max is not None else n) + 1))
     names = tuple(t.strip() for t in predicates.split(",")) if predicates else PREDICATES
-    docs = [
-        _report_doc(sweep(n, k, predicates=names, shards=shards, allow_large=allow_large))
-        for k in ks
-    ]
+    docs = [_report_doc(sweep(n, k, predicates=names, shards=shards)) for k in ks]
     if classes:
         names += ("perm_invariant_classes",)
         for doc in docs:
@@ -368,7 +364,12 @@ def sweep_cmd(n_max: int, k_max: int | None, verify: bool, as_json: bool) -> Non
     if n_max < 1:
         raise click.UsageError(f"need n-max >= 1, got {n_max}")
     suffix = " with --verify" if verify else ""
-    cap = _REARRANGEMENT_CAP if verify else DEFAULT_MAX_N
+    if verify:
+        cap = _VERIFY_MAX_N
+    else:
+        from . import _kernels  # loads numpy, which the counting sweep needs anyway
+
+        cap = _kernels.MAX_N
     if n_max > cap:
         raise click.UsageError(f"need --n-max <= {cap}{suffix}, got {n_max}")
     floor = 1 if verify else 0  # --verify checks windows 1..k-max

@@ -35,13 +35,11 @@ from .characterize import (
     find_witness,
 )
 from .classify import (
-    _REARRANGEMENT_CAP,
     _bounds_hold,
     _equivalences,
     _spot_bounds,
     _spots_below_filled,
     is_permutation_invariant,
-    permutation_invariant_by_enumeration,
 )
 from .core import ParkingPreference, decompose_at, excess, multiplicities
 from .errors import SizeLimitExceeded, UnknownProperty, VerificationFailed
@@ -71,8 +69,6 @@ PREDICATES = (
     "perm_invariant",
 )
 
-DEFAULT_MAX_N = 8
-HARD_MAX_N = 9  # 387 million preferences; allowed only behind allow_large
 MONOTONE_MAX_N = 12  # n <= 12 take ~2 s together on one core; n = 13 alone ~4 s
 
 
@@ -102,7 +98,6 @@ def sweep(
     k: int,
     predicates: Iterable[str] | None = None,
     shards: int = 1,
-    allow_large: bool = False,
 ) -> CountReport:
     """Count predicate hits over all n^n preferences under window k.
 
@@ -111,17 +106,15 @@ def sweep(
     the counts are identical for any shard count.  Each range is counted by
     :func:`naplespf._kernels.count_range`, a weighted DP walked car by car:
     prefixes that reach the same parking state and the same counts of cars
-    below each spot are carried once, with their number as a weight.  n is
-    capped at 8, or at 9 with ``allow_large``.
+    below each spot are carried once, with their number as a weight.  n
+    above 11, where a DP node no longer fits an int64, raises
+    :class:`~naplespf.errors.SizeLimitExceeded`.
 
     >>> sweep(3, 1).counts["k_naples"]
     24
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    cap = HARD_MAX_N if allow_large else DEFAULT_MAX_N
-    if n > cap:
-        raise SizeLimitExceeded(f"n={n} above the size cap {cap}")
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}")
     if shards < 1:
@@ -383,16 +376,11 @@ def _prop_summary_theorem(c: _Case, k: int) -> bool:
     return _summary_consistent(k, c.out(k).all_parked, rows)
 
 
-def _prop_perm_invariance(c: _Case, k: int) -> bool:
-    structural = is_permutation_invariant(c.pref, k)
-    return structural == permutation_invariant_by_enumeration(c.pref, k)
-
-
 @dataclass(frozen=True)
 class SweepProperty:
     name: str
     doc: str
-    check: Callable[[_Case, int], bool]
+    check: Callable[[_Case, int], bool] | None  # None: checked per multiset
     k_min: int = 0
     k_independent: bool = False
 
@@ -504,7 +492,7 @@ _PROPERTY_LIST = [
     SweepProperty(
         "perm_invariance",
         "all rearrangements park iff every maximal interval has length <= k",
-        _prop_perm_invariance,
+        None,
         k_min=1,
     ),
 ]
@@ -544,17 +532,17 @@ def verify_sweep(
 ) -> Counterexample | None:
     """Check every always-true property over all of [n]^n.
 
-    ``ks`` defaults to 1..n.  Permutation invariance is checked once per
-    multiset (both sides only depend on it); everything else runs per
-    preference, on one record that computes each outcome, the excess and
-    each witness once and is dropped before the next preference.  Returns
-    the first counterexample or None.  A self-check that raises
+    ``ks`` defaults to 1..n.  Every property runs per preference, on one
+    record that computes each outcome, the excess and each witness once and
+    is dropped before the next preference.  Each rearrangement of a
+    preference is one of those preferences, so for permutation invariance
+    the loop ANDs each outcome into its multiset's entry, and after the loop
+    each multiset is compared with
+    :func:`~naplespf.classify.is_permutation_invariant`.  Returns the first
+    counterexample or None.  A self-check that raises
     :class:`~naplespf.errors.VerificationFailed` inside a property is
     raised again, with the same message and the :class:`Counterexample`
     (preference, n, k, property) being checked as its ``counterexample``.
-    With ``perm_invariance`` selected, n above 7 raises
-    :class:`~naplespf.errors.SizeLimitExceeded` before any preference is
-    visited.
     """
     if ks is None:
         ks = range(1, n + 1)
@@ -562,34 +550,35 @@ def verify_sweep(
     unknown = [name for name in names if name not in PROPERTIES]
     if unknown:
         raise UnknownProperty(f"unknown properties: {unknown}")
-    if "perm_invariance" in names and n > _REARRANGEMENT_CAP:
-        raise SizeLimitExceeded(
-            f"n={n} above the perm_invariance rearrangement cap {_REARRANGEMENT_CAP}"
-        )
-
-    def first_failure(
-        tuples: Iterable[tuple[int, ...]], props: list[SweepProperty]
-    ) -> Counterexample | None:
-        for tup in tuples:
-            case = _Case(ParkingPreference(tup))
-            for prop in props:
-                for k in (prop.k_min,) if prop.k_independent else ks:
-                    if k < prop.k_min:
-                        continue
-                    try:
-                        if not prop.check(case, k):
-                            return Counterexample(case.pref, n, k, prop.name)
-                    except VerificationFailed as exc:
-                        ce = Counterexample(case.pref, n, k, prop.name)
-                        raise VerificationFailed(str(exc), ce) from exc
-        return None
-
     per_pref = [PROPERTIES[name] for name in names if name != "perm_invariance"]
-    ce = first_failure(iter_preferences(n), per_pref)
-    if ce is None and "perm_invariance" in names:
-        multisets = itertools.combinations_with_replacement(range(1, n + 1), n)
-        ce = first_failure(multisets, [PROPERTIES["perm_invariance"]])
-    return ce
+    k_min = PROPERTIES["perm_invariance"].k_min
+    perm_ks = [k for k in ks if k >= k_min] if "perm_invariance" in names else []
+    parks: dict[tuple[tuple[int, ...], int], bool] = {}  # (multiset, k) -> all park
+
+    for tup in iter_preferences(n):
+        case = _Case(ParkingPreference(tup))
+        for prop in per_pref:
+            for k in (prop.k_min,) if prop.k_independent else ks:
+                if k < prop.k_min:
+                    continue
+                try:
+                    if not prop.check(case, k):
+                        return Counterexample(case.pref, n, k, prop.name)
+                except VerificationFailed as exc:
+                    ce = Counterexample(case.pref, n, k, prop.name)
+                    raise VerificationFailed(str(exc), ce) from exc
+        if perm_ks:
+            multiset = tuple(sorted(tup))
+            for k in perm_ks:
+                key = (multiset, k)
+                parks[key] = parks.get(key, True) and case.out(k).all_parked
+    classes = itertools.combinations_with_replacement(range(1, n + 1), n)
+    for multiset in classes if perm_ks else ():
+        pref = ParkingPreference(multiset)
+        for k in perm_ks:
+            if is_permutation_invariant(pref, k) != parks[multiset, k]:
+                return Counterexample(pref, n, k, "perm_invariance")
+    return None
 
 
 def _monotone_search(n: int) -> MonotoneWindowViolation | None:

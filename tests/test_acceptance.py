@@ -83,10 +83,10 @@ def test_criterion_3_counting_oracle():
         assert report.counts["parking_function"] == target
 
     for n in range(1, 10):
-        pf = npf.sweep(n, 0, allow_large=True).counts["parking_function"]
+        pf = npf.sweep(n, 0).counts["parking_function"]
         previous = None
         for k in range(n + 1):
-            naples = npf.sweep(n, k, allow_large=True).counts["k_naples"]
+            naples = npf.sweep(n, k).counts["k_naples"]
             assert naples == naive_count_k_naples(n, k), (n, k)
             if k == 0:
                 assert naples == pf
@@ -94,7 +94,7 @@ def test_criterion_3_counting_oracle():
                 assert naples >= previous
             previous = naples
 
-    # the DP over occupied sets reaches past the sweep's n <= 9 cap
+    # the DP over occupied sets alone, one length past the range above
     column = {
         1: [1, 4, 24, 203, 2225, 30067, 484071, 9057316, 193282730, 4635533581],
         2: [1, 4, 27, 240, 2731, 38034, 627405, 11976466, 259897613, 6322598234],

@@ -311,8 +311,14 @@ class TestCount:
         assert result.exit_code == 2
 
     def test_size_cap(self, runner):
-        result = runner.invoke(main, ["count", "-n", "9", "-k", "0"])
+        result = runner.invoke(main, ["count", "-n", "12", "-k", "0"])
         assert result.exit_code == 2
+        assert "n <= 11" in result.stderr
+
+    def test_counts_n_9(self, runner):
+        result = runner.invoke(main, ["count", "-n", "9", "-k", "0"])
+        assert result.exit_code == 0
+        assert "9,0,parking_function,100000000,387420489," in result.stdout
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_negative_k_max_exits_2(self, runner, fmt):
@@ -384,7 +390,7 @@ class TestSweep:
     @pytest.mark.parametrize(
         "extra, message",
         [
-            (["--n-max", "9"], "need --n-max <= 8, got 9"),
+            (["--n-max", "12"], "need --n-max <= 11, got 12"),
             (["--n-max", "8", "--verify"], "need --n-max <= 7 with --verify, got 8"),
         ],
         ids=["count", "verify"],

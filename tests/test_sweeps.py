@@ -15,6 +15,7 @@ from naplespf import (
     UnknownProperty,
     VerificationFailed,
     count_perm_invariant_fast,
+    excess,
     find_counterexample,
     find_monotone_window_violation,
     is_k_naples,
@@ -24,7 +25,7 @@ from naplespf import (
     verify_sweep,
 )
 from helpers import api_predicates, loop_all_park, loop_count_perm_invariant, naive_park
-from naplespf import _kernels, characterize, classify, simulator, sweeps
+from naplespf import _kernels, characterize, simulator, sweeps
 from naplespf.sweeps import PROPERTIES, TRUE_PROPERTIES, MonotoneWindowViolation
 
 
@@ -83,10 +84,22 @@ class TestCounting:
         assert all(r.counts == reports[0].counts for r in reports)
 
     def test_size_caps(self):
-        with pytest.raises(SizeLimitExceeded):
-            sweep(9, 0)
-        with pytest.raises(SizeLimitExceeded):
-            sweep(10, 0, allow_large=True)
+        # the kernel's node limit is the only cap on counting
+        with pytest.raises(SizeLimitExceeded, match="n <= 11"):
+            sweep(12, 0)
+
+    @pytest.mark.parametrize("k", [0, 2, 11])
+    def test_largest_n_matches_closed_forms(self, k):
+        counts = sweep(11, k).counts
+        assert counts["parking_function"] == 12**10
+        assert counts["complete"] == 10**10
+        assert counts["perm_invariant"] == count_perm_invariant_fast(11, k)
+        if k == 0:
+            assert counts["k_naples"] == 12**10
+            assert counts["complete_k_naples"] == 0
+        if k >= 10:
+            assert counts["k_naples"] == 11**11
+            assert counts["complete_k_naples"] == 10**10
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
@@ -256,7 +269,9 @@ class TestVerifySweep:
         with pytest.raises(UnknownProperty):
             verify_sweep(2, properties=("bogus",))
 
-    def test_rearrangement_cap_raises_before_any_preference(self, monkeypatch):
+    def test_no_size_cap_before_the_preference_loop(self, monkeypatch):
+        # perm_invariance rides on the one pass over [n]^n, so no property
+        # stops n = 8 before the preferences are visited
         visited = []
 
         class Visited(Exception):
@@ -267,15 +282,11 @@ class TestVerifySweep:
             raise Visited
 
         monkeypatch.setattr(sweeps, "iter_preferences", recording)
-        with pytest.raises(SizeLimitExceeded, match="rearrangement cap 7"):
-            verify_sweep(8)
-        with pytest.raises(SizeLimitExceeded):
-            verify_sweep(8, properties=["perm_invariance"])
-        assert visited == []
-        # the cap belongs to perm_invariance alone
         with pytest.raises(Visited):
-            verify_sweep(8, properties=["easy_characterization"])
-        assert visited == [8]
+            verify_sweep(8)
+        with pytest.raises(Visited):
+            verify_sweep(8, properties=["perm_invariance"])
+        assert visited == [8, 8]
 
     def test_finds_planted_counterexample(self):
         ce = verify_sweep(3, ks=(1,), properties=("excess_bound_is_sufficient",))
@@ -315,18 +326,52 @@ class TestVerifySweep:
             ParkingPreference((1, 1, 4, 4)), 4, 1, "summary_theorem"
         )
 
-    def test_perm_invariance_runs_the_enumeration_oracle(self, monkeypatch):
-        # a fault planted in the brute side that classify exports reaches the
-        # property: rearrangements whose first car prefers spot 3 never park,
-        # which first shows on the multiset (1,1,3), rearranged to (3,1,1)
-        real = classify.is_k_naples
-        monkeypatch.setattr(
-            classify,
-            "is_k_naples",
-            lambda pref, k: pref.prefs[0] != 3 and real(pref, k),
-        )
+    def test_perm_invariance_compares_the_sweep_outcomes(self, monkeypatch):
+        # the brute side is the sweep's own outcome of every rearrangement: a
+        # preference whose first car prefers spot 3 never parks, which first
+        # shows on the multiset (1,1,3), rearranged to (3,1,1)
+        real = sweeps.park_uniform
+
+        def stalled(pref, k):
+            out = real(pref, k)
+            return ParkingOutcome((None, *out.spot_of[1:])) if pref.prefs[0] == 3 else out
+
+        monkeypatch.setattr(sweeps, "park_uniform", stalled)
         ce = find_counterexample(3, 3, "perm_invariance")
         assert ce == Counterexample(ParkingPreference((1, 1, 3)), 3, 1, "perm_invariance")
+
+    @pytest.mark.parametrize(
+        "planted, ks, first",
+        [
+            ("strict", None, ((2, 2), 1)),
+            ("strict", [2], ((2, 3, 3), 2)),
+            ("strict", [3, 1], ((2, 2), 1)),
+            ("extra_at_2", None, ((2, 3, 3), 2)),
+            ("extra_at_2", [3, 1], None),
+        ],
+    )
+    def test_perm_invariance_catches_planted_structural_fault(
+        self, monkeypatch, planted, ks, first
+    ):
+        # faults in the structural side: "< k" for "<= k", and one unit too
+        # many at k = 2 only; multisets are compared in sorted order
+        fault = {
+            "strict": lambda length, k: length < k,
+            "extra_at_2": lambda length, k: length + (k == 2) <= k,
+        }[planted]
+        monkeypatch.setattr(
+            sweeps,
+            "is_permutation_invariant",
+            lambda pref, k: fault(excess(pref).max_interval_length(), k),
+        )
+        ce = next(
+            filter(None, (verify_sweep(n, ks, ["perm_invariance"]) for n in range(1, 6))),
+            None,
+        )
+        if first is not None:
+            pref, k = first
+            first = Counterexample(ParkingPreference(pref), len(pref), k, "perm_invariance")
+        assert ce == first
 
     def test_witness_size_bound_fails_on_failed_recheck(self, monkeypatch):
         # the property leaves the certificate check to find_witness, which
