@@ -24,7 +24,6 @@ from .classify import (
     cars_parked_before,
     check_p_minus_1,
     complete_naples_equivalences,
-    distinct_rearrangements,
     is_complete,
     is_k_naples,
     is_parking_function,
@@ -32,7 +31,6 @@ from .classify import (
     minimal_naples_k,
     necessary_excess_bound,
     nonincreasing_sufficiency,
-    permutation_invariant_by_enumeration,
     quantitative_bound,
 )
 from .core import (

@@ -123,11 +123,15 @@ def count_range(n, k, start, stop, counts):
     module docstring).  Lane j - 2 of a node, W = n.bit_length() + 1 bits
     wide, counts the cars preferring a spot below j; its top bit stays
     clear, a guard.  A car preferring spot a moves node x to
-    ``x + step[x & mask, a - 1]``.  A prefix whose ranks all lie in the range
-    is carried with a weight, and equal nodes are merged and their weights
-    summed; the at most two prefixes per level that straddle ``start`` or
-    ``stop - 1`` are walked one by one as Python ints.  At the last level a
-    biased lane has its guard bit clear exactly when position j is critical,
+    ``x + step[x & mask, a - 1]``.  The walk starts at the coarsest level d
+    whose prefixes, n^(n - d) ranks each, tile the range: each is decoded
+    into a node of weight 1, one digit per car.  From there on every node
+    stands for whole subtrees, so equal nodes are merged and their weights
+    summed.  Cost grows with the number of prefixes at level d: a range cut
+    on prefix boundaries, as :func:`naplespf.sweeps.sweep` cuts its shards,
+    starts from a few nodes, while one with an end that is not a multiple
+    of n falls to d = n, one node per rank.  At the last level a biased
+    lane has its guard bit clear exactly when position j is critical,
     u_j = j - 1 - lane >= 1, and every predicate is read off those guard
     bits and bit n.  Raises ``ValueError`` when n < 1, and its subclass
     :class:`~naplespf.errors.SizeLimitExceeded` when n > 11, where a node no
@@ -146,32 +150,19 @@ def count_range(n, k, start, stop, counts):
     exited = 1 << n
     mask = 2 * exited - 1
 
-    size = n**n  # ranks under one prefix of the current level
-    if start <= 0 and size <= stop:
-        nodes, weights, edges = np.zeros(1, np.int64), np.ones(1, np.int64), []
-    else:
-        nodes, weights, edges = np.zeros(0, np.int64), np.zeros(0, np.int64), [(0, 0)]
-    for level in range(1, n + 1):
+    d, size = 0, n**n  # size: ranks under one prefix of level d
+    while start % size or stop % size:
+        d, size = d + 1, size // n
+    prefixes = np.arange(start // size, stop // size, dtype=np.int64)
+    nodes = np.zeros(len(prefixes), np.int64)
+    for level in range(1, d + 1):  # one car per digit a - 1, most significant first
+        nodes += step[nodes & mask, prefixes // n ** (d - level) % n]
+    weights = np.ones(len(nodes), np.int64)
+    for level in range(d + 1, n + 1):
         nodes = (nodes[:, None] + step[nodes & mask]).ravel()
         weights = np.repeat(weights, n)
         if len(nodes) > MERGE_MIN and level < n:
             nodes, weights = _merge(nodes, weights)
-        size //= n
-        inside, straddling = [], []
-        for prefix, x in edges:
-            row = step[x & mask].tolist()
-            first = max(prefix * n, start // size)
-            last = min(prefix * n + n - 1, (stop - 1) // size)
-            for child in range(first, last + 1):
-                y = x + row[child - prefix * n]
-                if start <= child * size and (child + 1) * size <= stop:
-                    inside.append(y)
-                else:
-                    straddling.append((child, y))
-        edges = straddling
-        if inside:
-            nodes = np.concatenate([nodes, np.array(inside, np.int64)])
-            weights = np.concatenate([weights, np.ones(len(inside), np.int64)])
 
     critical = ((nodes + bias) & guards) ^ guards  # guard bit per u_j >= 1
     parked = (nodes & exited) == 0

@@ -23,7 +23,7 @@ from .errors import (
     SizeLimitExceeded,
     VerificationFailed,
 )
-from .simulator import park_cars
+from .simulator import _check_window, park_cars
 
 __all__ = [
     "WitnessCertificate",
@@ -114,8 +114,7 @@ def find_witness(
     >>> find_witness(ParkingPreference((2, 3, 3)), 1, (2, 3)) is None
     True
     """
-    if k < 1:
-        raise ValueError(f"backward window must be >= 1, got {k}")
+    _check_window(k, 1)
     p, q = _require_maximal_interval(pref, interval)
     hat = [i for i in range(1, pref.n + 1) if pref.prefs[i - 1] >= p - 1]
     beta = [pref.prefs[i - 1] - (p - 2) for i in hat]
@@ -178,8 +177,7 @@ def enumerate_witnesses(
     Scans every subset of the cars preferring a spot >= p, so it raises
     :class:`~naplespf.errors.SizeLimitExceeded` above n = 12.
     """
-    if k < 1:
-        raise ValueError(f"backward window must be >= 1, got {k}")
+    _check_window(k, 1)
     p, q = _require_maximal_interval(pref, interval)
     if pref.n > _SUBSET_SEARCH_CAP:
         raise SizeLimitExceeded(
@@ -198,8 +196,7 @@ def verify_main_theorem(pref: ParkingPreference, k: int) -> bool:
     rule; the function checks that and raises
     :class:`~naplespf.errors.VerificationFailed` when the two disagree.
     """
-    if k < 1:
-        raise ValueError(f"backward window must be >= 1, got {k}")
+    _check_window(k, 1)
     result = _witnessed(pref, k, find_witness)
     if result != is_k_naples(pref, k):
         raise VerificationFailed(
@@ -319,8 +316,7 @@ def verify_summary_theorem(pref: ParkingPreference, k: int) -> SummaryReport:
     and :class:`~naplespf.errors.VerificationFailed` carries a report that
     breaks it.
     """
-    if k < 1:
-        raise ValueError(f"backward window must be >= 1, got {k}")
+    _check_window(k, 1)
     conditions = tuple(
         IntervalConditions((p, q), q - p + 1, q - p + 1 <= k, before, cert)
         for (p, q), before, cert in _summary_rows(pref, k, find_witness)

@@ -8,19 +8,16 @@ every classification here can be validated against brute force.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterator
 
 from .core import ParkingPreference, excess
 from .errors import (
     NotComplete,
     NotNonincreasing,
-    SizeLimitExceeded,
     TooShort,
     VerificationFailed,
 )
-from .simulator import ParkingOutcome, park_uniform
+from .simulator import ParkingOutcome, _check_window, park_uniform
 
 __all__ = [
     "is_parking_function",
@@ -35,13 +32,8 @@ __all__ = [
     "quantitative_bound",
     "cars_parked_before",
     "is_permutation_invariant",
-    "permutation_invariant_by_enumeration",
-    "distinct_rearrangements",
     "minimal_naples_k",
 ]
-
-# Brute force over distinct rearrangements stays below 7! sequences.
-_REARRANGEMENT_CAP = 7
 
 
 def is_parking_function(pref: ParkingPreference) -> bool:
@@ -75,8 +67,7 @@ def check_p_minus_1(pref: ParkingPreference, k: int) -> bool:
     preference parks; :class:`~naplespf.errors.VerificationFailed` is raised
     if it does not.
     """
-    if k < 1:
-        raise ValueError(f"backward window must be >= 1, got {k}")
+    _check_window(k, 1)
     outcome = park_uniform(pref, k)
     result = _spots_below_filled(pref, outcome)
     if result != outcome.all_parked:
@@ -97,8 +88,7 @@ def necessary_excess_bound(pref: ParkingPreference, k: int) -> bool:
     Necessary for parking under the k-Naples rule, but not sufficient:
     (2,3,3) satisfies the bound for k=1 yet fails to park.
     """
-    if k < 0:
-        raise ValueError(f"backward window must be >= 0, got {k}")
+    _check_window(k)
     return excess(pref).max_excess <= k
 
 
@@ -245,32 +235,17 @@ def is_permutation_invariant(pref: ParkingPreference, k: int) -> bool:
 
     Computed structurally: this holds exactly when every maximal critical
     interval has length <= k.  The criterion only depends on how many cars
-    prefer each spot, so it is rearrangement-invariant by construction;
-    :func:`permutation_invariant_by_enumeration` is the brute-force oracle.
+    prefer each spot, so it is rearrangement-invariant by construction.
+    :func:`~naplespf.sweeps.verify_sweep` checks it against brute force: it
+    parks every preference of [n]^n, so every rearrangement of each multiset.
 
     >>> is_permutation_invariant(ParkingPreference((2, 3, 3)), 1)
     False
     >>> is_permutation_invariant(ParkingPreference((2, 3, 3)), 2)
     True
     """
-    if k < 0:
-        raise ValueError(f"backward window must be >= 0, got {k}")
+    _check_window(k)
     return excess(pref).max_interval_length() <= k
-
-
-def distinct_rearrangements(pref: ParkingPreference) -> Iterator[ParkingPreference]:
-    """All distinct rearrangements of the preference, in sorted order."""
-    if pref.n > _REARRANGEMENT_CAP:
-        raise SizeLimitExceeded(
-            f"rearrangement enumeration is capped at n <= {_REARRANGEMENT_CAP}"
-        )
-    for tup in sorted(set(itertools.permutations(pref.prefs))):
-        yield ParkingPreference(tup)
-
-
-def permutation_invariant_by_enumeration(pref: ParkingPreference, k: int) -> bool:
-    """Brute-force oracle for :func:`is_permutation_invariant` (n <= 7)."""
-    return all(is_k_naples(sigma, k) for sigma in distinct_rearrangements(pref))
 
 
 def minimal_naples_k(pref: ParkingPreference) -> int:

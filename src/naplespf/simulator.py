@@ -71,6 +71,12 @@ class CarStep:
 ParkingTrace = tuple[CarStep, ...]
 
 
+def _check_window(k: int, least: int = 0) -> None:
+    """Raise ``ValueError`` unless the backward window k is at least ``least``."""
+    if k < least:
+        raise ValueError(f"backward window must be >= {least}, got {k}")
+
+
 def as_windows(k: int | Sequence[int], n: int) -> tuple[int, ...]:
     """Normalize a backward-window spec: a scalar means the uniform rule."""
     try:
@@ -78,15 +84,13 @@ def as_windows(k: int | Sequence[int], n: int) -> tuple[int, ...]:
     except TypeError:
         pass
     if isinstance(k, int):
-        if k < 0:
-            raise ValueError(f"backward window must be >= 0, got {k}")
+        _check_window(k)
         return (k,) * n
     win = tuple(int(x) for x in k)
     if len(win) != n:
         raise LengthMismatch(f"{len(win)} windows for {n} cars")
     for x in win:
-        if x < 0:
-            raise ValueError(f"backward window must be >= 0, got {x}")
+        _check_window(x)
     return win
 
 
@@ -174,12 +178,9 @@ def park_cars(
 
     Unlike :func:`park` the number of cars need not match the street length;
     this is what restricted processes (a subset of the cars, full street)
-    run on.  Raises :class:`InvalidPreference` for a preference off the street.
+    run on.  Raises :class:`InvalidPreference` for a preference off the
+    street, and checks the windows as :func:`park` does.
     """
     if prefs and not 1 <= min(prefs) <= max(prefs) <= n_spots:
         raise InvalidPreference(f"preferences must lie in 1..{n_spots}")
-    try:
-        windows = (operator.index(windows),) * len(prefs)
-    except TypeError:
-        pass
-    return _run(prefs, windows, n_spots)
+    return _run(prefs, as_windows(windows, len(prefs)), n_spots)

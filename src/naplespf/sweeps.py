@@ -89,8 +89,16 @@ class CountReport:
     shards: int
 
 
-def _shard_bounds(total: int, shards: int) -> list[int]:
-    return [total * i // shards for i in range(shards + 1)]
+def _shard_bounds(n: int, shards: int) -> list[int]:
+    """Rank bounds of ``shards`` contiguous ranges of [n]^n (shards <= n^n).
+
+    Every bound falls on a prefix boundary of the smallest level d with
+    n^d >= shards, so each range is a run of whole d-car prefixes.
+    """
+    d = 0
+    while n**d < shards:
+        d += 1
+    return [(n**d * i // shards) * n ** (n - d) for i in range(shards + 1)]
 
 
 def sweep(
@@ -103,7 +111,8 @@ def sweep(
 
     ``shards`` splits the rank space into that many contiguous ranges (at
     most n^n, one rank each), counted in rank order in the calling thread;
-    the counts are identical for any shard count.  Each range is counted by
+    the counts are identical for any shard count.  Each range is a run of
+    whole prefixes of the same length, counted by
     :func:`naplespf._kernels.count_range`, a weighted DP walked car by car:
     prefixes that reach the same parking state and the same counts of cars
     below each spot are carried once, with their number as a weight.  n
@@ -130,7 +139,7 @@ def sweep(
 
     start = time.perf_counter()
     total = n**n
-    bounds = _shard_bounds(total, min(shards, total))  # more only adds empty ranges
+    bounds = _shard_bounds(n, min(shards, total))  # more only adds empty ranges
     acc = np.zeros(_kernels.N_PREDICATES, np.int64)
     for lo, hi in zip(bounds, bounds[1:]):
         _kernels.count_range(n, k, lo, hi, acc)

@@ -4,9 +4,10 @@
 and is kept deliberately separate from the library implementation, so the
 two can vet each other; ``naive_count_k_naples`` counts with the same
 candidate lists.  ``loop_count_perm_invariant`` scans every multiset of
-preferences, the reference for the counting DP.  ``SRC`` is the directory
-that holds the package under test, for the ``PYTHONPATH`` of subprocess
-tests.
+preferences, the reference for the counting DP, and
+``permutation_invariant_by_enumeration`` parks every rearrangement of one
+preference.  ``SRC`` is the directory that holds the package under test,
+for the ``PYTHONPATH`` of subprocess tests.
 """
 
 import itertools
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 import naplespf
 from naplespf import (
     ParkingPreference,
+    SizeLimitExceeded,
     is_complete,
     is_k_naples,
     is_parking_function,
@@ -148,6 +150,25 @@ def loop_count_perm_invariant(n: int, k: int, by_class: bool = False) -> int:
                     weight //= math.factorial(count)
                 total += weight
     return total
+
+
+# Brute force over distinct rearrangements stays below 7! sequences.
+_REARRANGEMENT_CAP = 7
+
+
+def distinct_rearrangements(pref):
+    """All distinct rearrangements of the preference, in sorted order."""
+    if pref.n > _REARRANGEMENT_CAP:
+        raise SizeLimitExceeded(
+            f"rearrangement enumeration is capped at n <= {_REARRANGEMENT_CAP}"
+        )
+    for tup in sorted(set(itertools.permutations(pref.prefs))):
+        yield ParkingPreference(tup)
+
+
+def permutation_invariant_by_enumeration(pref, k):
+    """Brute-force oracle for ``is_permutation_invariant`` (n <= 7)."""
+    return all(is_k_naples(sigma, k) for sigma in distinct_rearrangements(pref))
 
 
 def api_predicates(pref, k):

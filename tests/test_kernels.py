@@ -160,10 +160,27 @@ class TestCountRange:
             assert got[_kernels.IDX_PERM_INVARIANT] == count_perm_invariant_fast(n, k), k
             assert got[_kernels.IDX_K_NAPLES] == naive_count_k_naples(n, k), k
 
+    @pytest.mark.parametrize("k", [0, 2, 9])
+    def test_whole_prefix_matches_per_rank_route(self, k):
+        # the subtree of the prefix (9, 8, 7, 6) counted whole starts from one
+        # node and merges from level 7 on; cut after its first rank, both
+        # pieces start inside it and are walked one node per rank
+        n = 9
+        lo = (((8 * n + 7) * n + 6) * n + 5) * n**5
+        hi = lo + n**5
+        whole = np.zeros(_kernels.N_PREDICATES, np.int64)
+        _kernels.count_range(n, k, lo, hi, whole)
+        pieces = np.zeros(_kernels.N_PREDICATES, np.int64)
+        for start, stop in ((lo, lo + 1), (lo + 1, hi)):
+            _kernels.count_range(n, k, start, stop, pieces)
+        assert list(pieces) == list(whole)
+        if k == n:
+            assert whole.all()
+
     @pytest.mark.parametrize("n", [9, 11])
     def test_mid_subtree_range_matches_loop_reference(self, n):
-        # both ends fall inside prefixes, and the range is wide enough that
-        # the nodes of full prefixes are merged
+        # neither end is a multiple of n, so the walk starts from one node
+        # per rank
         start = n**n // 3 + 12345
         for k in (0, 2, n):
             got, want = engine_and_loop(n, k, start, start + 8199)

@@ -225,3 +225,10 @@ class TestRestrictedStreet:
         with pytest.raises(InvalidPreference, match=r"1\.\.3"):
             park_cars(prefs, 0, 3)
         assert park_cars((), 0, 3) == []
+
+    def test_windows_checked_as_park_does(self):
+        with pytest.raises(LengthMismatch, match="1 windows for 3 cars"):
+            park_cars([1, 1, 1], (0,), 3)
+        with pytest.raises(ValueError, match="backward window must be >= 0, got -1"):
+            park_cars([2, 2, 2], -1, 3)
+        assert park_cars([2, 2, 2], (1, 0, 1), 3) == [2, 3, 1]

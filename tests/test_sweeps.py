@@ -128,10 +128,24 @@ class TestCounting:
         expected = sweep(5, 2).counts
         calls = self.record_count_range(monkeypatch)
         report = sweep(5, 2, shards=3)
-        bounds = sweeps._shard_bounds(5**5, 3)
+        bounds = sweeps._shard_bounds(5, 3)
         caller = threading.get_ident()
         assert calls == [(caller, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
         assert report.counts == expected
+
+    def test_shard_bounds_cut_on_prefix_boundaries(self):
+        for n in range(1, 8):
+            total = n**n
+            widths = range(1, min(n * n + 1, total) + 1)
+            for w in [*widths, total] if n <= 5 else widths:
+                d = next(d for d in range(n + 1) if n**d >= w)
+                bounds = sweeps._shard_bounds(n, w)
+                assert len(bounds) == w + 1, (n, w)
+                assert bounds[0] == 0 and bounds[-1] == total, (n, w)
+                assert all(lo < hi for lo, hi in zip(bounds, bounds[1:])), (n, w)
+                assert all(b % n ** (n - d) == 0 for b in bounds), (n, w)
+            if n % 2 == 0:  # two shards are the two halves of [n]^n
+                assert sweeps._shard_bounds(n, 2) == [0, total // 2, total]
 
     def test_shards_above_total_count_no_empty_ranges(self, monkeypatch):
         expected = sweep(3, 1).counts
