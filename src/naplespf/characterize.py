@@ -58,7 +58,7 @@ class WitnessCertificate:
     shifted_restriction: ParkingPreference
 
 
-# find_witness, or a per-preference memo of it (sweeps._Case.witness)
+# find_witness, or a memo of it per preference
 _Lookup = Callable[..., WitnessCertificate | None]
 
 

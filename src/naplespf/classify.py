@@ -127,8 +127,10 @@ class CompleteEquivalences:
     ``agree`` cannot catch a fault in the backward-occupancy leg alone.
     When all n cars hold distinct spots, backward occupancy says the same
     as a bounded outcome; otherwise some spot is empty and both are False.
-    Only the ``backward_occupancy`` field itself, pinned by a test run
-    under ``python -O``, covers that leg.
+    So the field itself is checked: a test run under ``python -O`` pins
+    it, and the verification engine's own mask of this leg is compared
+    with it on every preference up to n = 4, where the other legs do not
+    imply it.
     """
 
     all_parked: bool

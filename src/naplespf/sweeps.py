@@ -2,7 +2,7 @@
 
 Three jobs: counting tables (how many preferences satisfy each predicate),
 a verification harness that machine-checks every structural fact this
-package relies on against brute force, and a falsification hook that hunts
+package relies on over all of [n]^n, and a falsification hook that hunts
 for counterexamples to a named property.
 
 Preferences are visited in odometer order (last entry fastest), split into
@@ -10,9 +10,10 @@ contiguous rank ranges that are counted one after another in the calling
 thread; counts are plain integer sums, so results do not depend on the
 shard count.
 
-numpy and :mod:`naplespf._kernels` load on the first counting call, not at
-import, so commands that only simulate or classify one preference,
-:func:`verify_sweep` and the monotone-window check never pay for them.
+numpy and :mod:`naplespf._kernels` load on the first counting call, and
+with :mod:`naplespf._verify` on the first :func:`verify_sweep` call, not at
+import, so commands that only simulate or classify one preference and the
+monotone-window check never pay for them.
 """
 
 from __future__ import annotations
@@ -21,29 +22,12 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import simulator
-from .characterize import (
-    _SUBSET_SEARCH_CAP,
-    WitnessCertificate,
-    _summary_consistent,
-    _summary_rows,
-    _upper_part_parks,
-    _witness_subsets,
-    _witnessed,
-    find_witness,
-)
-from .classify import (
-    _bounds_hold,
-    _equivalences,
-    _spot_bounds,
-    _spots_below_filled,
-    is_permutation_invariant,
-)
-from .core import ParkingPreference, decompose_at, excess, multiplicities
+from .core import ParkingPreference
 from .errors import SizeLimitExceeded, UnknownProperty, VerificationFailed
-from .simulator import ParkingOutcome, park, park_uniform
+from .simulator import park
 
 __all__ = [
     "PREDICATES",
@@ -183,16 +167,11 @@ def count_perm_invariant_fast(n: int, k: int, by_class: bool = False) -> int:
 
 
 # --------------------------------------------------------------------------
-# Property registry: every structural fact the package relies on, phrased as
-# a check of one preference record (_Case) under a window k against brute
-# force.  verify_sweep builds one record per preference and drops it after
-# the last property, so what several properties share (outcomes, excess
-# profile, witnesses) is computed once per preference and never outlives
-# the call.  A fact that a public check_* or verify_* function also states
-# has one body in classify or characterize: the property feeds it the
-# record's outcome and witness lookup, while the public function computes
-# its own and raises VerificationFailed.  Both read the excess profile that
-# the preference itself keeps.
+# Property registry: every structural fact the package relies on, checked by
+# verify_sweep for every preference of [n]^n and window k.  The check of each
+# lives in naplespf._verify as one numpy mask over a block of preferences; a
+# fact that a public check_* or verify_* function also states keeps that
+# scalar body in classify or characterize.
 # --------------------------------------------------------------------------
 
 
@@ -211,185 +190,10 @@ class MonotoneWindowViolation:
     car: int  # 1-based car whose window was bumped
 
 
-class _Case:
-    """One preference's outcomes and witnesses, each made once.
-
-    The excess profile needs no slot here: the preference keeps its own.
-    """
-
-    def __init__(self, pref: ParkingPreference):
-        self.pref = pref
-        self.complete = pref.n >= 2 and excess(pref).intervals == ((2, pref.n),)
-        self._outs: dict[int, ParkingOutcome] = {}
-        self._certs: dict[tuple, WitnessCertificate | None] = {}
-
-    def out(self, k: int) -> ParkingOutcome:
-        if k not in self._outs:
-            self._outs[k] = park_uniform(self.pref, k)
-        return self._outs[k]
-
-    def witness(
-        self, pref: ParkingPreference, k: int, interval: tuple[int, int]
-    ) -> WitnessCertificate | None:
-        # pref is always self.pref; it is taken to fit characterize._Lookup
-        key = (k, interval)
-        if key not in self._certs:
-            self._certs[key] = find_witness(pref, k, interval)
-        return self._certs[key]
-
-
-def _prop_easy_characterization(c: _Case, k: int) -> bool:
-    return excess(c.pref).is_empty == c.out(0).all_parked
-
-
-def _prop_excess_formulas(c: _Case, k: int) -> bool:
-    m = multiplicities(c.pref)
-    n = c.pref.n
-    vals = excess(c.pref).values
-    if vals[0] != 0:
-        return False
-    for j in range(1, n + 1):
-        direct = sum(m[i - 1] for i in range(j, n + 1)) - (n - j + 1)
-        prefix = j - 1 - sum(m[i - 1] for i in range(1, j))
-        if vals[j - 1] != direct or vals[j - 1] != prefix:
-            return False
-        if vals[j - 1] >= j:
-            return False
-        if j < n and vals[j - 1] != vals[j] + m[j - 1] - 1:
-            return False
-    return True
-
-
-def _prop_elementary_intervals(c: _Case, k: int) -> bool:
-    m = multiplicities(c.pref)
-    prof = excess(c.pref)
-    for p, q in prof.intervals:
-        if p < 2:
-            return False
-        if prof.u(p) != 1 or prof.u(p - 1) != 0:
-            return False
-        if m[p - 2] != 0 or m[q - 1] < 2:
-            return False
-    return True
-
-
-def _prop_decomposition_excess(c: _Case, k: int) -> bool:
-    vals = excess(c.pref).values
-    for j in range(1, c.pref.n + 1):
-        if vals[j - 1] != 0:
-            continue
-        lower, upper = decompose_at(c.pref, j)
-        if lower is not None and excess(lower).values != vals[: j - 1]:
-            return False
-        if excess(upper).values != vals[j - 1 :]:
-            return False
-    return True
-
-
-def _prop_necessary_excess_bound(c: _Case, k: int) -> bool:
-    if not c.out(k).all_parked:
-        return True
-    return excess(c.pref).max_excess <= k
-
-
-def _prop_excess_bound_sufficient(c: _Case, k: int) -> bool:
-    # Deliberately false: the excess bound does not imply parking.
-    if excess(c.pref).max_excess > k:
-        return True
-    return c.out(k).all_parked
-
-
-def _prop_nonincreasing_sufficiency(c: _Case, k: int) -> bool:
-    if any(a < b for a, b in zip(c.pref.prefs, c.pref.prefs[1:])):
-        return True
-    if excess(c.pref).max_excess > k:
-        return True
-    return c.out(k).all_parked
-
-
-def _prop_drive_forward(c: _Case, k: int) -> bool:
-    out = c.out(k)
-    pairs = list(zip(c.pref.prefs, out.spot_of))
-    for a, s in pairs:
-        if s is None or s <= a:
-            continue
-        # splitting: nobody preferring >= s may sit at or before s
-        for a2, s2 in pairs:
-            if a2 >= s and s2 is not None and s2 <= s:
-                return False
-        if out.all_parked and excess(c.pref).u(s) > -1:
-            return False
-    return True
-
-
-def _prop_p_minus_1(c: _Case, k: int) -> bool:
-    out = c.out(k)
-    return _spots_below_filled(c.pref, out) == out.all_parked
-
-
-def _prop_char_complete(c: _Case, k: int) -> bool:
-    if not c.complete:
-        return True
-    return _equivalences(c.pref, c.out(k)).agree
-
-
-def _prop_quantitative_bound(c: _Case, k: int) -> bool:
-    out = c.out(k)
-    rows = _spot_bounds(c.pref, out) if c.complete else ()
-    return _bounds_hold(rows, out.all_parked)
-
-
-def _prop_restricted_translated(c: _Case, k: int) -> bool:
-    zeros = [j for j, u in enumerate(excess(c.pref).values[1:], 2) if u == 0]
-    parked = c.out(k).all_parked
-    return not parked or all(_upper_part_parks(c.pref, k, j) for j in zeros)
-
-
-def _prop_main_characterization(c: _Case, k: int) -> bool:
-    return _witnessed(c.pref, k, c.witness) == c.out(k).all_parked
-
-
-def _prop_witness_size(c: _Case, k: int) -> bool:
-    if not c.out(k).all_parked:
-        return True
-    for p, q in excess(c.pref).intervals:
-        cert = c.witness(c.pref, k, (p, q))
-        if cert is None:
-            return False
-        if len(cert.indices) < q - p + 2:
-            return False
-    return True
-
-
-def _prop_search_matches_extraction(c: _Case, k: int) -> bool:
-    if c.pref.n > _SUBSET_SEARCH_CAP:
-        return True
-    for p, q in excess(c.pref).intervals:
-        found = next(_witness_subsets(c.pref.prefs, k, p, q), None) is not None
-        if found != (c.witness(c.pref, k, (p, q)) is not None):
-            return False
-    return True
-
-
-def _prop_tail_lemma(c: _Case, k: int) -> bool:
-    if not c.complete:
-        return True
-    out = c.out(k)
-    if not out.all_parked:
-        return True
-    return out.spot_of[-1] == 1 and c.pref.prefs[-1] <= k + 1
-
-
-def _prop_summary_theorem(c: _Case, k: int) -> bool:
-    rows = _summary_rows(c.pref, k, c.witness)
-    return _summary_consistent(k, c.out(k).all_parked, rows)
-
-
 @dataclass(frozen=True)
 class SweepProperty:
     name: str
     doc: str
-    check: Callable[[_Case, int], bool] | None  # None: checked per multiset
     k_min: int = 0
     k_independent: bool = False
 
@@ -398,77 +202,64 @@ _PROPERTY_LIST = [
     SweepProperty(
         "easy_characterization",
         "empty critical set iff the classical rule parks everyone",
-        _prop_easy_characterization,
         k_independent=True,
     ),
     SweepProperty(
         "excess_formula_agreement",
         "suffix, prefix and recurrence forms of the excess agree; u(j) < j",
-        _prop_excess_formulas,
         k_independent=True,
     ),
     SweepProperty(
         "elementary_intervals",
         "each maximal interval starts at excess 1 after a zero with no demand "
         "below and at least two cars at the top",
-        _prop_elementary_intervals,
         k_independent=True,
     ),
     SweepProperty(
         "decomposition_excess",
         "splitting at a zero of the excess slices the excess profile",
-        _prop_decomposition_excess,
         k_independent=True,
     ),
     SweepProperty(
         "necessary_excess_bound_is_necessary",
         "parking under window k forces excess <= k everywhere",
-        _prop_necessary_excess_bound,
     ),
     SweepProperty(
         "excess_bound_is_sufficient",
         "DELIBERATELY FALSE: excess <= k alone does not make a preference park",
-        _prop_excess_bound_sufficient,
     ),
     SweepProperty(
         "nonincreasing_sufficiency",
         "for nonincreasing preferences the excess bound decides membership",
-        _prop_nonincreasing_sufficiency,
     ),
     SweepProperty(
         "drive_forward",
         "a car parking forward at j splits the street at j; members then "
         "have excess <= -1 at j",
-        _prop_drive_forward,
         k_min=1,
     ),
     SweepProperty(
         "p_minus_1_biconditional",
         "membership iff spot p-1 fills for every maximal interval [p, q]",
-        _prop_p_minus_1,
         k_min=1,
     ),
     SweepProperty(
         "char_complete_equivalence",
         "for complete preferences: parking, backward occupancy and bounded "
         "outcomes coincide",
-        _prop_char_complete,
     ),
     SweepProperty(
         "quantitative_bound",
         "backward traffic through j is at most u(j), with equality for members",
-        _prop_quantitative_bound,
     ),
     SweepProperty(
         "restricted_translated_pf",
         "the upper part of a member at a zero of the excess is again a member",
-        _prop_restricted_translated,
         k_min=1,
     ),
     SweepProperty(
         "main_characterization",
         "membership iff every maximal interval has a complete witness",
-        _prop_main_characterization,
         k_min=1,
     ),
     SweepProperty(
@@ -476,32 +267,27 @@ _PROPERTY_LIST = [
         "members have a witness on every maximal interval, with at least "
         "q-p+2 cars; find_witness re-verifies each one and raises "
         "VerificationFailed if the check fails",
-        _prop_witness_size,
         k_min=1,
     ),
     SweepProperty(
         "search_matches_extraction",
         "subset search and constructive extraction agree on witness existence",
-        _prop_search_matches_extraction,
         k_min=1,
     ),
     SweepProperty(
         "tail_lemma",
         "in a complete member the last car parks at spot 1 and prefers <= k+1",
-        _prop_tail_lemma,
         k_min=1,
     ),
     SweepProperty(
         "summary_theorem",
         "spot-before-interval and witness conditions agree, hold for free on "
         "short intervals, and decide membership on the long ones",
-        _prop_summary_theorem,
         k_min=1,
     ),
     SweepProperty(
         "perm_invariance",
         "all rearrangements park iff every maximal interval has length <= k",
-        None,
         k_min=1,
     ),
 ]
@@ -541,53 +327,44 @@ def verify_sweep(
 ) -> Counterexample | None:
     """Check every always-true property over all of [n]^n.
 
-    ``ks`` defaults to 1..n.  Every property runs per preference, on one
-    record that computes each outcome, the excess and each witness once and
-    is dropped before the next preference.  Each rearrangement of a
-    preference is one of those preferences, so for permutation invariance
-    the loop ANDs each outcome into its multiset's entry, and after the loop
-    each multiset is compared with
-    :func:`~naplespf.classify.is_permutation_invariant`.  Returns the first
-    counterexample or None.  A self-check that raises
-    :class:`~naplespf.errors.VerificationFailed` inside a property is
-    raised again, with the same message and the :class:`Counterexample`
-    (preference, n, k, property) being checked as its ``counterexample``.
+    ``ks`` defaults to 1..n; a window-independent property runs once, at its
+    least window.  The work is done by :mod:`naplespf._verify`, which loads
+    numpy on the first call: [n]^n is walked in blocks of whole prefixes, in
+    rank order, one numpy row per preference, and each property is a mask
+    over the rows.  The first counterexample is the one at the lowest rank,
+    then the first failing property in the order given, then the first
+    failing k in the order of ``ks``.  Each rearrangement of a preference is
+    one of those rows, so for permutation invariance every outcome is ANDed
+    into its multiset's entry, and after the last block each multiset, in
+    :func:`itertools.combinations_with_replacement` order, is compared with
+    the structural criterion: every maximal interval at most k long.
+    Returns the first counterexample or None.  A property that reads an
+    extracted witness whose certificate re-check fails raises
+    :class:`~naplespf.errors.VerificationFailed` instead, with the
+    :class:`Counterexample` (preference, n, k, property) being checked as its
+    ``counterexample``.  n below 1 or a window below 0 raises ``ValueError``.
     """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     if ks is None:
         ks = range(1, n + 1)
+    ks = list(ks)
     names = TRUE_PROPERTIES if properties is None else tuple(properties)
     unknown = [name for name in names if name not in PROPERTIES]
     if unknown:
         raise UnknownProperty(f"unknown properties: {unknown}")
-    per_pref = [PROPERTIES[name] for name in names if name != "perm_invariance"]
+    for k in ks:
+        simulator._check_window(k)
+    checks = []  # (property, k) in the order each preference tries them
+    for prop in (PROPERTIES[name] for name in names if name != "perm_invariance"):
+        windows = (prop.k_min,) if prop.k_independent else ks
+        checks += [(prop.name, k) for k in windows if k >= prop.k_min]
     k_min = PROPERTIES["perm_invariance"].k_min
     perm_ks = [k for k in ks if k >= k_min] if "perm_invariance" in names else []
-    parks: dict[tuple[tuple[int, ...], int], bool] = {}  # (multiset, k) -> all park
 
-    for tup in iter_preferences(n):
-        case = _Case(ParkingPreference(tup))
-        for prop in per_pref:
-            for k in (prop.k_min,) if prop.k_independent else ks:
-                if k < prop.k_min:
-                    continue
-                try:
-                    if not prop.check(case, k):
-                        return Counterexample(case.pref, n, k, prop.name)
-                except VerificationFailed as exc:
-                    ce = Counterexample(case.pref, n, k, prop.name)
-                    raise VerificationFailed(str(exc), ce) from exc
-        if perm_ks:
-            multiset = tuple(sorted(tup))
-            for k in perm_ks:
-                key = (multiset, k)
-                parks[key] = parks.get(key, True) and case.out(k).all_parked
-    classes = itertools.combinations_with_replacement(range(1, n + 1), n)
-    for multiset in classes if perm_ks else ():
-        pref = ParkingPreference(multiset)
-        for k in perm_ks:
-            if is_permutation_invariant(pref, k) != parks[multiset, k]:
-                return Counterexample(pref, n, k, "perm_invariance")
-    return None
+    from . import _verify
+
+    return _verify.first_counterexample(n, checks, perm_ks)
 
 
 def _monotone_search(n: int) -> MonotoneWindowViolation | None:

@@ -6,8 +6,11 @@ two can vet each other; ``naive_count_k_naples`` counts with the same
 candidate lists.  ``loop_count_perm_invariant`` scans every multiset of
 preferences, the reference for the counting DP, and
 ``permutation_invariant_by_enumeration`` parks every rearrangement of one
-preference.  ``SRC`` is the directory that holds the package under test,
-for the ``PYTHONPATH`` of subprocess tests.
+preference.  ``Case`` and ``REFERENCE`` restate every per-preference
+property of ``verify_sweep`` through the scalar API, one preference at a
+time: the reference for the flat verification engine.  ``SRC`` is the
+directory that holds the package under test, for the ``PYTHONPATH`` of
+subprocess tests.
 """
 
 import itertools
@@ -18,12 +21,33 @@ from hypothesis import strategies as st
 
 import naplespf
 from naplespf import (
+    ParkingOutcome,
     ParkingPreference,
     SizeLimitExceeded,
+    WitnessCertificate,
+    decompose_at,
+    excess,
+    find_witness,
     is_complete,
     is_k_naples,
     is_parking_function,
     is_permutation_invariant,
+    multiplicities,
+    park_uniform,
+)
+from naplespf.characterize import (
+    _SUBSET_SEARCH_CAP,
+    _summary_consistent,
+    _summary_rows,
+    _upper_part_parks,
+    _witness_subsets,
+    _witnessed,
+)
+from naplespf.classify import (
+    _bounds_hold,
+    _equivalences,
+    _spot_bounds,
+    _spots_below_filled,
 )
 
 SRC = str(Path(naplespf.__file__).resolve().parents[1])
@@ -191,6 +215,203 @@ def naive_excess(prefs):
     return [
         sum(1 for a in prefs if a >= j) - (n - j + 1) for j in range(1, n + 1)
     ]
+
+
+class Case:
+    """One preference's outcomes and witnesses, each made once: the scalar
+    reference for the verification engine, ``naplespf._verify``.
+
+    The excess profile needs no slot here: the preference keeps its own.
+    """
+
+    def __init__(self, pref: ParkingPreference):
+        self.pref = pref
+        self.complete = pref.n >= 2 and excess(pref).intervals == ((2, pref.n),)
+        self._outs: dict[int, ParkingOutcome] = {}
+        self._certs: dict[tuple, WitnessCertificate | None] = {}
+
+    def out(self, k: int) -> ParkingOutcome:
+        if k not in self._outs:
+            self._outs[k] = park_uniform(self.pref, k)
+        return self._outs[k]
+
+    def witness(
+        self, pref: ParkingPreference, k: int, interval: tuple[int, int]
+    ) -> WitnessCertificate | None:
+        # pref is always self.pref; it is taken to fit characterize._Lookup
+        key = (k, interval)
+        if key not in self._certs:
+            self._certs[key] = find_witness(pref, k, interval)
+        return self._certs[key]
+
+
+def _prop_easy_characterization(c: Case, k: int) -> bool:
+    return excess(c.pref).is_empty == c.out(0).all_parked
+
+
+def _prop_excess_formulas(c: Case, k: int) -> bool:
+    m = multiplicities(c.pref)
+    n = c.pref.n
+    vals = excess(c.pref).values
+    if vals[0] != 0:
+        return False
+    for j in range(1, n + 1):
+        direct = sum(m[i - 1] for i in range(j, n + 1)) - (n - j + 1)
+        prefix = j - 1 - sum(m[i - 1] for i in range(1, j))
+        if vals[j - 1] != direct or vals[j - 1] != prefix:
+            return False
+        if vals[j - 1] >= j:
+            return False
+        if j < n and vals[j - 1] != vals[j] + m[j - 1] - 1:
+            return False
+    return True
+
+
+def _prop_elementary_intervals(c: Case, k: int) -> bool:
+    m = multiplicities(c.pref)
+    prof = excess(c.pref)
+    for p, q in prof.intervals:
+        if p < 2:
+            return False
+        if prof.u(p) != 1 or prof.u(p - 1) != 0:
+            return False
+        if m[p - 2] != 0 or m[q - 1] < 2:
+            return False
+    return True
+
+
+def _prop_decomposition_excess(c: Case, k: int) -> bool:
+    vals = excess(c.pref).values
+    for j in range(1, c.pref.n + 1):
+        if vals[j - 1] != 0:
+            continue
+        lower, upper = decompose_at(c.pref, j)
+        if lower is not None and excess(lower).values != vals[: j - 1]:
+            return False
+        if excess(upper).values != vals[j - 1 :]:
+            return False
+    return True
+
+
+def _prop_necessary_excess_bound(c: Case, k: int) -> bool:
+    if not c.out(k).all_parked:
+        return True
+    return excess(c.pref).max_excess <= k
+
+
+def _prop_excess_bound_sufficient(c: Case, k: int) -> bool:
+    # Deliberately false: the excess bound does not imply parking.
+    if excess(c.pref).max_excess > k:
+        return True
+    return c.out(k).all_parked
+
+
+def _prop_nonincreasing_sufficiency(c: Case, k: int) -> bool:
+    if any(a < b for a, b in zip(c.pref.prefs, c.pref.prefs[1:])):
+        return True
+    if excess(c.pref).max_excess > k:
+        return True
+    return c.out(k).all_parked
+
+
+def _prop_drive_forward(c: Case, k: int) -> bool:
+    out = c.out(k)
+    pairs = list(zip(c.pref.prefs, out.spot_of))
+    for a, s in pairs:
+        if s is None or s <= a:
+            continue
+        # splitting: nobody preferring >= s may sit at or before s
+        for a2, s2 in pairs:
+            if a2 >= s and s2 is not None and s2 <= s:
+                return False
+        if out.all_parked and excess(c.pref).u(s) > -1:
+            return False
+    return True
+
+
+def _prop_p_minus_1(c: Case, k: int) -> bool:
+    out = c.out(k)
+    return _spots_below_filled(c.pref, out) == out.all_parked
+
+
+def _prop_char_complete(c: Case, k: int) -> bool:
+    if not c.complete:
+        return True
+    return _equivalences(c.pref, c.out(k)).agree
+
+
+def _prop_quantitative_bound(c: Case, k: int) -> bool:
+    out = c.out(k)
+    rows = _spot_bounds(c.pref, out) if c.complete else ()
+    return _bounds_hold(rows, out.all_parked)
+
+
+def _prop_restricted_translated(c: Case, k: int) -> bool:
+    zeros = [j for j, u in enumerate(excess(c.pref).values[1:], 2) if u == 0]
+    parked = c.out(k).all_parked
+    return not parked or all(_upper_part_parks(c.pref, k, j) for j in zeros)
+
+
+def _prop_main_characterization(c: Case, k: int) -> bool:
+    return _witnessed(c.pref, k, c.witness) == c.out(k).all_parked
+
+
+def _prop_witness_size(c: Case, k: int) -> bool:
+    if not c.out(k).all_parked:
+        return True
+    for p, q in excess(c.pref).intervals:
+        cert = c.witness(c.pref, k, (p, q))
+        if cert is None:
+            return False
+        if len(cert.indices) < q - p + 2:
+            return False
+    return True
+
+
+def _prop_search_matches_extraction(c: Case, k: int) -> bool:
+    if c.pref.n > _SUBSET_SEARCH_CAP:
+        return True
+    for p, q in excess(c.pref).intervals:
+        found = next(_witness_subsets(c.pref.prefs, k, p, q), None) is not None
+        if found != (c.witness(c.pref, k, (p, q)) is not None):
+            return False
+    return True
+
+
+def _prop_tail_lemma(c: Case, k: int) -> bool:
+    if not c.complete:
+        return True
+    out = c.out(k)
+    if not out.all_parked:
+        return True
+    return out.spot_of[-1] == 1 and c.pref.prefs[-1] <= k + 1
+
+
+def _prop_summary_theorem(c: Case, k: int) -> bool:
+    rows = _summary_rows(c.pref, k, c.witness)
+    return _summary_consistent(k, c.out(k).all_parked, rows)
+
+
+#: The scalar check of each per-preference property, by registry name.
+REFERENCE = {
+    "easy_characterization": _prop_easy_characterization,
+    "excess_formula_agreement": _prop_excess_formulas,
+    "elementary_intervals": _prop_elementary_intervals,
+    "decomposition_excess": _prop_decomposition_excess,
+    "necessary_excess_bound_is_necessary": _prop_necessary_excess_bound,
+    "excess_bound_is_sufficient": _prop_excess_bound_sufficient,
+    "nonincreasing_sufficiency": _prop_nonincreasing_sufficiency,
+    "drive_forward": _prop_drive_forward,
+    "p_minus_1_biconditional": _prop_p_minus_1,
+    "char_complete_equivalence": _prop_char_complete,
+    "quantitative_bound": _prop_quantitative_bound,
+    "restricted_translated_pf": _prop_restricted_translated,
+    "main_characterization": _prop_main_characterization,
+    "witness_size_bound": _prop_witness_size,
+    "search_matches_extraction": _prop_search_matches_extraction,
+    "tail_lemma": _prop_tail_lemma,
+    "summary_theorem": _prop_summary_theorem,
+}
 
 
 @st.composite

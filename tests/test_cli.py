@@ -516,9 +516,13 @@ class TestErrorPolicy:
         ids=["witness-text", "witness-json", "sweep-json"],
     )
     def test_failed_certificate_recheck_exits_3(self, runner, monkeypatch, args, stdout):
-        from naplespf import characterize
+        from naplespf import _verify, characterize
 
+        # the scalar re-check, and the flat engine's behind sweep --verify
         monkeypatch.setattr(characterize, "check_certificate", lambda *a: False)
+        monkeypatch.setattr(
+            _verify, "_certificates_hold", lambda prefs, p, q, chosen, window: p < 0
+        )
         result = runner.invoke(main, args)
         assert result.exit_code == 3
         assert result.stdout == stdout
@@ -588,7 +592,11 @@ class TestErrorPolicy:
             assert command.callback.__code__ is wrapped, name
 
 
-_LAZY_MODULES = ("numpy", "naplespf._kernels", "concurrent.futures")
+_LAZY_MODULES = ("numpy", "naplespf._kernels", "naplespf._verify", "concurrent.futures")
+
+# What a verification sweep loads: the engine, the parking step it shares
+# with counting, and numpy; never a thread pool.
+_VERIFY_MODULES = ("numpy", "naplespf._kernels", "naplespf._verify")
 
 # Runs ``import naplespf`` and then each command of argv[1] in turn in one
 # interpreter, recording which of _LAZY_MODULES are loaded after each step.
@@ -657,6 +665,8 @@ class TestLazyImports:
         ]
 
     def test_theorem_sweep_skips_counting_modules(self):
+        # verification runs on the flat engine: it loads numpy, the kernels'
+        # parking step and the engine, and nothing else that import skips
         script = (
             "import json, sys\n"
             "from naplespf import verify_sweep\n"
@@ -671,13 +681,14 @@ class TestLazyImports:
             env=dict(os.environ, PYTHONPATH=SRC),
             check=True,
         )
-        assert json.loads(proc.stdout) == [True, []]
+        assert json.loads(proc.stdout) == [True, list(_VERIFY_MODULES)]
 
     def test_verification_sweep_skips_counting_modules(self):
-        (_, step) = _run_fresh([["sweep", "--n-max", "3", "--verify", "--json"]])
+        (start, step) = _run_fresh([["sweep", "--n-max", "3", "--verify", "--json"]])
+        assert start["loaded"] == []
         assert step["exit"] == 0
         assert json.loads(step["output"]) == {"verified": True, "counterexample": None}
-        assert step["loaded"] == []
+        assert step["loaded"] == list(_VERIFY_MODULES)
 
 
 class TestRoundTrip:

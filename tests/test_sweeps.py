@@ -15,7 +15,6 @@ from naplespf import (
     UnknownProperty,
     VerificationFailed,
     count_perm_invariant_fast,
-    excess,
     find_counterexample,
     find_monotone_window_violation,
     is_k_naples,
@@ -24,8 +23,14 @@ from naplespf import (
     sweep,
     verify_sweep,
 )
-from helpers import api_predicates, loop_all_park, loop_count_perm_invariant, naive_park
-from naplespf import _kernels, characterize, simulator, sweeps
+from helpers import (
+    api_predicates,
+    loop_all_park,
+    loop_count_perm_invariant,
+    naive_count_k_naples,
+    naive_park,
+)
+from naplespf import _kernels, _verify, simulator, sweeps
 from naplespf.sweeps import PROPERTIES, TRUE_PROPERTIES, MonotoneWindowViolation
 
 
@@ -100,6 +105,15 @@ class TestCounting:
         if k >= 10:
             assert counts["k_naples"] == 11**11
             assert counts["complete_k_naples"] == 10**10
+
+    @pytest.mark.parametrize(
+        "k, count", [(1, 123478234693), (5, 248493260840), (9, 282953722920)]
+    )
+    def test_largest_n_matches_occupied_set_dp(self, k, count):
+        # k_naples at n = 11 between the closed forms at k = 0 and k >= 10,
+        # against a DP over occupied sets that never reads the kernel
+        assert sweep(11, k).counts["k_naples"] == count
+        assert naive_count_k_naples(11, k) == count
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
@@ -283,9 +297,14 @@ class TestVerifySweep:
         with pytest.raises(UnknownProperty):
             verify_sweep(2, properties=("bogus",))
 
+    @pytest.mark.parametrize("n, ks", [(0, None), (-1, None), (3, [1, -1])])
+    def test_rejects_n_below_one_and_negative_windows(self, n, ks):
+        with pytest.raises(ValueError):
+            verify_sweep(n, ks)
+
     def test_no_size_cap_before_the_preference_loop(self, monkeypatch):
         # perm_invariance rides on the one pass over [n]^n, so no property
-        # stops n = 8 before the preferences are visited
+        # stops n = 8 before the engine walks its blocks of preferences
         visited = []
 
         class Visited(Exception):
@@ -295,7 +314,7 @@ class TestVerifySweep:
             visited.append(n)
             raise Visited
 
-        monkeypatch.setattr(sweeps, "iter_preferences", recording)
+        monkeypatch.setattr(_verify, "_blocks", recording)
         with pytest.raises(Visited):
             verify_sweep(8)
         with pytest.raises(Visited):
@@ -317,13 +336,14 @@ class TestVerifySweep:
         ],
     )
     def test_planted_outcome_is_caught(self, monkeypatch, name, planted, first):
+        # the engine's outcome of each row, as an (n, rows) array of spots
         fake = {
-            "at_preference": lambda pref, k: ParkingOutcome(pref.prefs),
-            "in_arrival_order": lambda pref, k: ParkingOutcome(
-                tuple(range(1, pref.n + 1))
+            "at_preference": lambda prefs, window: prefs.copy(),
+            "in_arrival_order": lambda prefs, window: np.broadcast_to(
+                np.arange(1, len(prefs) + 1, dtype=np.int8)[:, None], prefs.shape
             ),
         }[planted]
-        monkeypatch.setattr(sweeps, "park_uniform", fake)
+        monkeypatch.setattr(_verify, "_outcome", fake)
         ce = verify_sweep(4, properties=[name])
         assert ce == Counterexample(ParkingPreference(first), 4, 1, name)
 
@@ -331,9 +351,13 @@ class TestVerifySweep:
         # no witness anywhere, and the restricted process agrees; (1,1,4,4)
         # parks with window 1 and its one interval [4,4] is short, so only
         # the clause that short intervals hold for free catches it
-        monkeypatch.setattr(sweeps, "find_witness", lambda *a: None)
+        def no_witness(prefs, p, q, window):
+            none = np.zeros(len(p), bool)
+            return none, np.zeros(prefs.shape, bool), ~none
+
+        monkeypatch.setattr(_verify, "_extract", no_witness)
         monkeypatch.setattr(
-            characterize, "restricted_spot_before_occupied", lambda *a: False
+            _verify, "_spot_before_fills", lambda prefs, p, window: np.zeros(len(p), bool)
         )
         ce = verify_sweep(4, properties=["summary_theorem"])
         assert ce == Counterexample(
@@ -344,13 +368,14 @@ class TestVerifySweep:
         # the brute side is the sweep's own outcome of every rearrangement: a
         # preference whose first car prefers spot 3 never parks, which first
         # shows on the multiset (1,1,3), rearranged to (3,1,1)
-        real = sweeps.park_uniform
+        real = _verify._outcome
 
-        def stalled(pref, k):
-            out = real(pref, k)
-            return ParkingOutcome((None, *out.spot_of[1:])) if pref.prefs[0] == 3 else out
+        def stalled(prefs, window):
+            spots = real(prefs, window)
+            spots[0, prefs[0] == 3] = 0
+            return spots
 
-        monkeypatch.setattr(sweeps, "park_uniform", stalled)
+        monkeypatch.setattr(_verify, "_outcome", stalled)
         ce = find_counterexample(3, 3, "perm_invariance")
         assert ce == Counterexample(ParkingPreference((1, 1, 3)), 3, 1, "perm_invariance")
 
@@ -367,17 +392,14 @@ class TestVerifySweep:
     def test_perm_invariance_catches_planted_structural_fault(
         self, monkeypatch, planted, ks, first
     ):
-        # faults in the structural side: "< k" for "<= k", and one unit too
-        # many at k = 2 only; multisets are compared in sorted order
+        # faults in the structural side, which reads each multiset's longest
+        # maximal interval: "< k" for "<= k", and one unit too many at k = 2
+        # only; multisets are compared in sorted order
         fault = {
-            "strict": lambda length, k: length < k,
-            "extra_at_2": lambda length, k: length + (k == 2) <= k,
+            "strict": lambda longest, k: longest < k,
+            "extra_at_2": lambda longest, k: longest + (k == 2) <= k,
         }[planted]
-        monkeypatch.setattr(
-            sweeps,
-            "is_permutation_invariant",
-            lambda pref, k: fault(excess(pref).max_interval_length(), k),
-        )
+        monkeypatch.setattr(_verify, "_invariant_by_structure", fault)
         ce = next(
             filter(None, (verify_sweep(n, ks, ["perm_invariance"]) for n in range(1, 6))),
             None,
@@ -388,11 +410,15 @@ class TestVerifySweep:
         assert ce == first
 
     def test_witness_size_bound_fails_on_failed_recheck(self, monkeypatch):
-        # the property leaves the certificate check to find_witness, which
-        # must run it on every witness, also after an earlier clean sweep;
-        # the error names the case being checked
+        # the property leaves the certificate check to the engine's
+        # extraction, which must run it on every witness, also after an
+        # earlier clean sweep; the error names the case being checked
         assert verify_sweep(3, properties=["witness_size_bound"]) is None
-        monkeypatch.setattr(characterize, "check_certificate", lambda *a: False)
+        monkeypatch.setattr(
+            _verify,
+            "_certificates_hold",
+            lambda prefs, p, q, chosen, window: np.zeros(len(p), bool),
+        )
         with pytest.raises(VerificationFailed, match="extracted witness") as info:
             verify_sweep(3, properties=["witness_size_bound"])
         assert info.value.counterexample == Counterexample(
