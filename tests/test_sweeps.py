@@ -115,6 +115,12 @@ class TestCounting:
         assert sweep(11, k).counts["k_naples"] == count
         assert naive_count_k_naples(11, k) == count
 
+    def test_complete_k_naples_regression_pins(self):
+        # A regression pin, read from the kernel: no route independent of
+        # count_range checks complete_k_naples above n = 6 yet.
+        assert [sweep(8, k).counts["complete_k_naples"] for k in range(4)] == [0, 1, 1897, 34623]
+        assert [sweep(n, 1).counts["complete_k_naples"] for n in range(2, 11)] == [1] * 9
+
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             sweep(0, 0)

@@ -20,7 +20,7 @@ from naplespf import (
     restricted_spot_before_occupied,
     verify_sweep,
 )
-from naplespf import _verify
+from naplespf import _verify, simulator
 from naplespf.characterize import _upper_part_parks, _witness_subsets
 from naplespf.classify import _equivalences
 from naplespf.sweeps import PROPERTIES
@@ -32,7 +32,7 @@ def whole_block(n):
     return _verify._Block(prefs), cases
 
 
-@pytest.fixture(scope="module", params=[1, 2, 3, 4])
+@pytest.fixture(scope="module", params=[1, 2, 3, 4, 5])
 def block_and_cases(request):
     return whole_block(request.param)
 
@@ -130,6 +130,23 @@ class TestMatchesScalarReference:
                 assert perm.all_park[i, c] == permutation_invariant_by_enumeration(pref, k)
                 structural = _verify._invariant_by_structure(perm.longest[c], k)
                 assert structural == is_permutation_invariant(pref, k), (multiset, k)
+
+
+class TestParkTable:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_simulator(self, n):
+        # every free set of [n], every preferred spot and every window the
+        # engine runs; a = 0 sits out
+        for w in range(n):
+            spot_of, left = _verify._park_table(n, w)
+            for free in range(0, 2 << n, 2):
+                occ = ((2 << n) - 2) ^ free
+                row = free * (n + 1)
+                assert (spot_of[row], left[row]) == (0, free), (n, w, free)
+                for a in range(1, n + 1):
+                    spot = simulator._step(occ, a, w, n) or 0
+                    want = (spot, free & ~(1 << spot) if spot else free)
+                    assert (spot_of[row + a], left[row + a]) == want, (n, w, free, a)
 
 
 class TestBackwardOccupancy:
