@@ -17,26 +17,11 @@ import sys
 
 import click
 
-from .characterize import enumerate_witnesses, find_witness
-from .classify import (
-    is_complete,
-    is_k_naples,
-    is_parking_function,
-    is_permutation_invariant,
-    minimal_naples_k,
-)
-from .core import ParkingPreference, decompose_at, excess
+# classify, characterize and sweeps are imported by the commands that run
+# them, so a one-shot call loads only what it uses
+from .core import PREDICATES, ParkingPreference, decompose_at, excess
 from .errors import VerificationFailed
 from .simulator import park_with_trace
-from .sweeps import (
-    PREDICATES,
-    Counterexample,
-    MonotoneWindowViolation,
-    count_perm_invariant_fast,
-    find_monotone_window_violation,
-    sweep,
-    verify_sweep,
-)
 
 _EXIT_PREDICATE_FALSE = 1
 _EXIT_COUNTEREXAMPLE = 3
@@ -106,6 +91,8 @@ def _spots_text(spots) -> str:
 
 def _counterexample_fields(ce) -> dict:
     """What a sweep counterexample reports besides its preference."""
+    from .sweeps import MonotoneWindowViolation
+
     if isinstance(ce, MonotoneWindowViolation):
         return {"windows": list(ce.windows), "car": ce.car, "property": "monotone_windows"}
     return {"n": ce.n, "k": ce.k, "property": ce.property_name}
@@ -170,6 +157,14 @@ def park(preference: str, windows: str, trace: bool, as_json: bool) -> None:
 
 
 def _classification(pref: ParkingPreference, k: int) -> dict:
+    from .classify import (
+        is_complete,
+        is_k_naples,
+        is_parking_function,
+        is_permutation_invariant,
+        minimal_naples_k,
+    )
+
     prof = excess(pref)
     complete = pref.n >= 2 and is_complete(pref)
     naples = is_k_naples(pref, k)
@@ -245,6 +240,9 @@ def _witness_text(doc: dict) -> str:
 @_error_policy
 def witness(preference: str, window: int, all_witnesses: bool, as_json: bool) -> None:
     """Show, per critical interval, a witness subset certifying membership."""
+    from .characterize import enumerate_witnesses, find_witness
+    from .classify import is_k_naples
+
     pref = ParkingPreference.parse(preference)
     if window < 1:
         raise click.UsageError(f"witness extraction needs a window >= 1, got {window}")
@@ -332,12 +330,17 @@ def count(
     if window is not None and not 0 <= window <= n:
         raise click.UsageError(f"need 0 <= -k <= n = {n}, got {window}")
     ks = [window] if window is not None else list(range(0, (k_max if k_max is not None else n) + 1))
-    names = tuple(t.strip() for t in predicates.split(",")) if predicates else PREDICATES
-    docs = [_report_doc(sweep(n, k, predicates=names, shards=shards)) for k in ks]
+    if predicates:
+        names = tuple(dict.fromkeys(t.strip() for t in predicates.split(",")))
+    else:
+        names = PREDICATES
+    from . import sweeps
+
+    docs = [_report_doc(sweeps.sweep(n, k, predicates=names, shards=shards)) for k in ks]
     if classes:
         names += ("perm_invariant_classes",)
         for doc in docs:
-            doc["counts"]["perm_invariant_classes"] = count_perm_invariant_fast(
+            doc["counts"]["perm_invariant_classes"] = sweeps.count_perm_invariant_fast(
                 doc["n"], doc["k"], by_class=True
             )
     if fmt == "json":
@@ -376,11 +379,13 @@ def sweep_cmd(n_max: int, k_max: int | None, verify: bool, as_json: bool) -> Non
     floor = 1 if verify else 0  # --verify checks windows 1..k-max
     if k_max is not None and k_max < floor:
         raise click.UsageError(f"need --k-max >= {floor}{suffix}, got {k_max}")
+    from . import sweeps
+
     if not verify:
         doc = []
         for n in range(1, n_max + 1):
             for k in range(0, min(k_max if k_max is not None else n, n) + 1):
-                rep = sweep(n, k)
+                rep = sweeps.sweep(n, k)
                 doc.append(_report_doc(rep))
                 if not as_json:
                     counts = " ".join(f"{name}={rep.counts[name]}" for name in rep.counts)
@@ -391,17 +396,17 @@ def sweep_cmd(n_max: int, k_max: int | None, verify: bool, as_json: bool) -> Non
     try:
         for n in range(1, n_max + 1):
             ks = range(1, min(k_max if k_max is not None else n, n) + 1)
-            ce = verify_sweep(n, ks=list(ks))
+            ce = sweeps.verify_sweep(n, ks=list(ks))
             if ce is not None:
                 _exit_counterexample(ce, as_json)
             if not as_json:
                 click.echo(f"n={n}: all invariants hold")
-        violation = find_monotone_window_violation(n_max)
+        violation = sweeps.find_monotone_window_violation(n_max)
     except VerificationFailed as exc:
         # a self-check failed inside the sweep: report its case as a
         # counterexample, then let _error_policy exit 3
         hit = exc.counterexample
-        if as_json and isinstance(hit, (Counterexample, MonotoneWindowViolation)):
+        if as_json and isinstance(hit, (sweeps.Counterexample, sweeps.MonotoneWindowViolation)):
             click.echo(_counterexample_json(hit))
         raise
     if violation is not None:

@@ -25,6 +25,7 @@ from .errors import (
 )
 
 __all__ = [
+    "PREDICATES",
     "ParkingPreference",
     "ExcessProfile",
     "multiplicities",
@@ -35,6 +36,18 @@ __all__ = [
     "restrict_shift",
     "decompose_at",
 ]
+
+#: The predicates a preference is classified by and counted under, in the
+#: counting kernel's slot order.  Defined here, which every CLI command
+#: loads, so ``classify --expect`` and ``count --predicates`` can name them
+#: without loading :mod:`naplespf.sweeps`.
+PREDICATES = (
+    "parking_function",
+    "k_naples",
+    "complete",
+    "complete_k_naples",
+    "perm_invariant",
+)
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,13 @@ contiguous rank ranges that are counted one after another in the calling
 thread; counts are plain integer sums, so results do not depend on the
 shard count.
 
-numpy and :mod:`naplespf._kernels` load on the first counting call, and
-with :mod:`naplespf._verify` on the first :func:`verify_sweep` call, not at
-import, so commands that only simulate or classify one preference and the
-monotone-window check never pay for them.
+Only the commands that count or verify load this module: ``import
+naplespf`` resolves its names on first access, and the CLI imports it inside
+``count`` and ``sweep``.  So :data:`PREDICATES`, which every command may
+name, is defined in :mod:`naplespf.core` and re-exported here.  numpy and
+:mod:`naplespf._kernels` load on the first counting call, and with
+:mod:`naplespf._verify` on the first :func:`verify_sweep` call, not at
+import, so the monotone-window check never pays for them.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from . import simulator
-from .core import ParkingPreference
+from .core import PREDICATES, ParkingPreference
 from .errors import SizeLimitExceeded, UnknownProperty, VerificationFailed
 from .simulator import park
 
@@ -43,15 +46,6 @@ __all__ = [
     "find_monotone_window_violation",
     "iter_preferences",
 ]
-
-#: Predicates tallied by :func:`sweep`, in the kernel's slot order.
-PREDICATES = (
-    "parking_function",
-    "k_naples",
-    "complete",
-    "complete_k_naples",
-    "perm_invariant",
-)
 
 MONOTONE_MAX_N = 12  # n <= 12 take ~2 s together on one core; n = 13 alone ~4 s
 

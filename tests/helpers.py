@@ -2,9 +2,10 @@
 
 ``naive_park`` restates the parking rule as a single candidate list per car
 and is kept deliberately separate from the library implementation, so the
-two can vet each other; ``naive_count_k_naples`` counts with the same
-candidate lists.  ``loop_count_perm_invariant`` scans every multiset of
-preferences, the reference for the counting DP, and
+two can vet each other; ``naive_count_k_naples`` and
+``naive_count_complete_k_naples`` count with the same candidate lists.
+``loop_count_perm_invariant`` scans every multiset of preferences, the
+reference for the counting DP, and
 ``permutation_invariant_by_enumeration`` parks every rearrangement of one
 preference.  ``Case`` and ``REFERENCE`` restate every per-preference
 property of ``verify_sweep`` through the scalar API, one preference at a
@@ -101,6 +102,32 @@ def naive_count_k_naples(n, k):
                 if spot is not None:
                     key = taken | {spot}
                     after[key] = after.get(key, 0) + count
+        ways = after
+    return sum(ways.values())
+
+
+def naive_count_complete_k_naples(n, k):
+    """Number of complete k-Naples preferences of length n, by a DP over
+    prefixes that never reads the kernel.
+
+    A prefix is keyed by its taken spots and how many of its cars prefer
+    each spot, with its number of preferences as the weight.  A complete
+    preference has at most j - 2 cars preferring below j for every j in
+    2..n; those counts only grow, so a prefix is dropped once some j has
+    more, or once a car exits.  What is left after n cars is counted.
+    """
+    ways = {(frozenset(), (0,) * n): 1}
+    for _ in range(n):
+        after = {}
+        for (taken, prefer), count in ways.items():
+            for a in range(1, n + 1):
+                spot = naive_spot(taken, a, k, n)
+                more = prefer[: a - 1] + (prefer[a - 1] + 1,) + prefer[a:]
+                below = itertools.accumulate(more[:-1])  # cars preferring <= 1, 2, ..
+                if spot is None or any(b > m for m, b in enumerate(below)):
+                    continue
+                key = (taken | {spot}, more)
+                after[key] = after.get(key, 0) + count
         ways = after
     return sum(ways.values())
 

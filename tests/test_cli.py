@@ -249,16 +249,16 @@ class TestCount:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_classes_counted_once_per_report(self, runner, monkeypatch, fmt):
-        import naplespf.cli as cli_module
+        from naplespf import sweeps
 
         calls = []
-        real = cli_module.count_perm_invariant_fast
+        real = sweeps.count_perm_invariant_fast
 
         def counting(n, k, by_class=False):
             calls.append((n, k))
             return real(n, k, by_class=by_class)
 
-        monkeypatch.setattr(cli_module, "count_perm_invariant_fast", counting)
+        monkeypatch.setattr(sweeps, "count_perm_invariant_fast", counting)
         args = ["count", "-n", "3", "--k-max", "3", "--classes", "--format", fmt]
         assert runner.invoke(main, args).exit_code == 0
         assert calls == [(3, k) for k in range(4)]
@@ -280,6 +280,14 @@ class TestCount:
         assert from_csv == from_json
         assert sorted(from_csv) == [0, 1, 2, 3, 4]
 
+    def test_repeated_predicates_listed_once(self, runner):
+        args = ["count", "-n", "3", "-k", "1", "--predicates", "k_naples,complete,k_naples"]
+        csv_rows = runner.invoke(main, args).output.splitlines()[1:]
+        doc = json.loads(runner.invoke(main, args + ["--format", "json"]).output)
+        from_csv = [row.split(",")[2] for row in csv_rows]
+        assert from_csv == ["k_naples", "complete"]
+        assert sorted(doc["reports"][0]["counts"]) == sorted(from_csv)
+
     def test_output_file(self, runner, tmp_path):
         target = tmp_path / "out.csv"
         result = runner.invoke(
@@ -289,14 +297,14 @@ class TestCount:
         assert target.read_text().startswith("n,k,predicate")
 
     def test_csv_file_matches_stdout(self, runner, monkeypatch, tmp_path):
-        import naplespf.cli as cli_module
+        from naplespf import sweeps
 
-        real = cli_module.sweep
+        real = sweeps.sweep
 
         def fixed_elapsed(*args, **kwargs):
             return dataclasses.replace(real(*args, **kwargs), elapsed=0.0125)
 
-        monkeypatch.setattr(cli_module, "sweep", fixed_elapsed)
+        monkeypatch.setattr(sweeps, "sweep", fixed_elapsed)
         args = ["count", "-n", "3", "--k-max", "2", "--classes"]
         echoed = runner.invoke(main, args)
         target = tmp_path / "out.csv"
@@ -341,14 +349,14 @@ class TestCount:
     def test_window_outside_0_n_exits_2_before_counting(
         self, runner, monkeypatch, fmt, extra, message
     ):
-        import naplespf.cli as cli_module
+        from naplespf import sweeps
 
         calls = []
 
         def record(*args, **kwargs):
             calls.append(args)
 
-        monkeypatch.setattr(cli_module, "sweep", record)
+        monkeypatch.setattr(sweeps, "sweep", record)
         result = runner.invoke(main, ["count", "-n", "3", *extra, "--format", fmt])
         assert result.exit_code == 2
         assert result.stdout == ""
@@ -398,7 +406,6 @@ class TestSweep:
     def test_n_max_above_cap_exits_2_before_work(
         self, runner, monkeypatch, json_flag, extra, message
     ):
-        import naplespf.cli as cli_module
         from naplespf import sweeps
 
         calls = []
@@ -406,8 +413,8 @@ class TestSweep:
         def record(*args, **kwargs):
             calls.append(args)
 
-        monkeypatch.setattr(cli_module, "sweep", record)
-        monkeypatch.setattr(cli_module, "verify_sweep", record)
+        monkeypatch.setattr(sweeps, "sweep", record)
+        monkeypatch.setattr(sweeps, "verify_sweep", record)
         monkeypatch.setattr(sweeps, "iter_preferences", record)
         result = runner.invoke(main, ["sweep", *extra, *json_flag])
         assert result.exit_code == 2
@@ -433,11 +440,10 @@ class TestSweep:
 
     @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
     def test_theorem_counterexample_report(self, runner, monkeypatch, as_json):
-        import naplespf.cli as cli_module
-        from naplespf import Counterexample, ParkingPreference
+        from naplespf import Counterexample, ParkingPreference, sweeps
 
         ce = Counterexample(ParkingPreference((2, 3, 3)), 3, 1, "tail_lemma")
-        monkeypatch.setattr(cli_module, "verify_sweep", lambda n, ks: ce)
+        monkeypatch.setattr(sweeps, "verify_sweep", lambda n, ks: ce)
         args = ["sweep", "--n-max", "4", "--verify"]
         result = runner.invoke(main, args + ["--json"] * as_json)
         assert result.exit_code == 3
@@ -463,13 +469,12 @@ class TestSweep:
     def test_monotone_window_counterexample_report(
         self, runner, monkeypatch, as_json
     ):
-        import naplespf.cli as cli_module
-        from naplespf import MonotoneWindowViolation, ParkingPreference
+        from naplespf import MonotoneWindowViolation, ParkingPreference, sweeps
 
         violation = MonotoneWindowViolation(ParkingPreference((1, 3, 2)), (0, 2, 1), 2)
-        monkeypatch.setattr(cli_module, "verify_sweep", lambda n, ks: None)
+        monkeypatch.setattr(sweeps, "verify_sweep", lambda n, ks: None)
         monkeypatch.setattr(
-            cli_module, "find_monotone_window_violation", lambda n_max: violation
+            sweeps, "find_monotone_window_violation", lambda n_max: violation
         )
         args = ["sweep", "--n-max", "2", "--verify"]
         result = runner.invoke(main, args + ["--json"] * as_json)
@@ -533,16 +538,15 @@ class TestErrorPolicy:
         )
 
     def test_unconfirmed_monotone_hit_reported_as_json(self, runner, monkeypatch):
-        import naplespf.cli as cli_module
-        from naplespf import MonotoneWindowViolation, ParkingPreference, VerificationFailed
+        from naplespf import MonotoneWindowViolation, ParkingPreference, VerificationFailed, sweeps
 
         hit = MonotoneWindowViolation(ParkingPreference((1, 3, 2)), (0, 2, 1), 2)
 
         def unconfirmed(n_max):
             raise VerificationFailed("the simulator does not confirm", hit)
 
-        monkeypatch.setattr(cli_module, "verify_sweep", lambda n, ks: None)
-        monkeypatch.setattr(cli_module, "find_monotone_window_violation", unconfirmed)
+        monkeypatch.setattr(sweeps, "verify_sweep", lambda n, ks: None)
+        monkeypatch.setattr(sweeps, "find_monotone_window_violation", unconfirmed)
         result = runner.invoke(main, ["sweep", "--n-max", "2", "--verify", "--json"])
         assert result.exit_code == 3
         doc = json.loads(result.stdout)
@@ -592,11 +596,35 @@ class TestErrorPolicy:
             assert command.callback.__code__ is wrapped, name
 
 
-_LAZY_MODULES = ("numpy", "naplespf._kernels", "naplespf._verify", "concurrent.futures")
+_CLASSIFY, _CHARACTERIZE, _SWEEPS = (
+    "naplespf.classify",
+    "naplespf.characterize",
+    "naplespf.sweeps",
+)
+_LAZY_MODULES = (
+    "numpy",
+    "naplespf._kernels",
+    "naplespf._verify",
+    _CLASSIFY,
+    _CHARACTERIZE,
+    _SWEEPS,
+    "concurrent.futures",
+)
 
-# What a verification sweep loads: the engine, the parking step it shares
-# with counting, and numpy; never a thread pool.
-_VERIFY_MODULES = ("numpy", "naplespf._kernels", "naplespf._verify")
+# What counting loads: the sweeps, the kernels and numpy; never a thread pool.
+_COUNT_MODULES = ["numpy", "naplespf._kernels", _SWEEPS]
+
+# What a verification sweep loads: the sweeps, the engine, the parking step
+# it shares with counting, numpy, and the witness code the engine reuses
+# (characterize, which loads classify); never a thread pool.
+_VERIFY_MODULES = (
+    "numpy",
+    "naplespf._kernels",
+    "naplespf._verify",
+    _CLASSIFY,
+    _CHARACTERIZE,
+    _SWEEPS,
+)
 
 # Runs ``import naplespf`` and then each command of argv[1] in turn in one
 # interpreter, recording which of _LAZY_MODULES are loaded after each step.
@@ -639,23 +667,35 @@ def _without_elapsed(doc):
 
 class TestLazyImports:
     def test_single_preference_commands_skip_counting_modules(self, runner):
+        # one interpreter runs the commands in turn, so each step lists what
+        # that command and the ones before it loaded
         commands = [
             ["park", "-p", "3,4,4,4,3", "-k", "3", "--trace", "--json"],
-            ["classify", "-p", "2,3,3", "-k", "1", "--json"],
-            ["witness", "-p", "2,3,3", "-k", "1", "--all", "--json"],
             ["decompose", "-p", "1,1,3,3", "-j", "3", "--json"],
             ["park", "-p", "1,x"],
+            ["classify", "-p", "2,3,3", "-k", "1", "--json"],
+            ["witness", "-p", "2,3,3", "-k", "1", "--all", "--json"],
         ]
+        steps = _run_fresh(commands)
+        assert [step["loaded"] for step in steps] == [
+            [],  # import naplespf
+            [],
+            [],
+            [],
+            [_CLASSIFY],
+            [_CLASSIFY, _CHARACTERIZE],
+        ]
+        assert [step["exit"] for step in steps[1:]] == [0, 0, 2, 0, 0]
+        for args, step in zip(commands, steps[1:]):
+            if step["exit"] == 0:
+                assert step["output"] == runner.invoke(main, args).output
+
+    def test_count_loads_only_counting_modules(self, runner):
         count = ["count", "-n", "4", "--k-max", "4", "--format", "json"]
-        steps = _run_fresh(commands + [count, count + ["--shards", "2"]])
-        assert [step["loaded"] for step in steps[:6]] == [[]] * 6
-        assert [step["exit"] for step in steps[1:]] == [0, 0, 0, 0, 2, 0, 0]
-        for args, step in zip(commands[:4], steps[1:5]):
-            assert step["output"] == runner.invoke(main, args).output
-        # counting loads numpy and the kernels, and never a thread pool
-        assert steps[6]["loaded"] == ["numpy", "naplespf._kernels"]
-        assert steps[7]["loaded"] == ["numpy", "naplespf._kernels"]
-        docs = [_without_elapsed(json.loads(step["output"])) for step in steps[6:]]
+        steps = _run_fresh([count, count + ["--shards", "2"]])
+        assert [step["loaded"] for step in steps] == [[], _COUNT_MODULES, _COUNT_MODULES]
+        assert [step["exit"] for step in steps[1:]] == [0, 0]
+        docs = [_without_elapsed(json.loads(step["output"])) for step in steps[1:]]
         assert docs[0] == _without_elapsed(json.loads(runner.invoke(main, count).output))
         assert docs[1]["reports"] == [
             dict(rep, shards=2) for rep in docs[0]["reports"]

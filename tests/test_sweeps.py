@@ -27,6 +27,7 @@ from helpers import (
     api_predicates,
     loop_all_park,
     loop_count_perm_invariant,
+    naive_count_complete_k_naples,
     naive_count_k_naples,
     naive_park,
 )
@@ -115,9 +116,17 @@ class TestCounting:
         assert sweep(11, k).counts["k_naples"] == count
         assert naive_count_k_naples(11, k) == count
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_complete_k_naples_matches_prefix_dp(self, n):
+        # against a DP over (taken spots, cars preferring each spot) that
+        # never reads the kernel, for every window
+        assert [sweep(n, k).counts["complete_k_naples"] for k in range(n + 1)] == [
+            naive_count_complete_k_naples(n, k) for k in range(n + 1)
+        ]
+
     def test_complete_k_naples_regression_pins(self):
-        # A regression pin, read from the kernel: no route independent of
-        # count_range checks complete_k_naples above n = 6 yet.
+        # Read from the kernel; test_complete_k_naples_matches_prefix_dp
+        # checks them by an independent route up to n = 8.
         assert [sweep(8, k).counts["complete_k_naples"] for k in range(4)] == [0, 1, 1897, 34623]
         assert [sweep(n, 1).counts["complete_k_naples"] for n in range(2, 11)] == [1] * 9
 
