@@ -1,18 +1,20 @@
-"""Numpy kernels for the counting sweeps.
+"""Numpy kernels: the parking rule tabulated once, and the counting DP.
+
+:func:`park_table` is the one vectorized statement of the k-Naples rule,
+and :func:`naplespf.simulator._step` its scalar reference.  Counting reads
+it through :func:`_step_table`; :mod:`naplespf._verify` parks each car by
+one lookup in it.
 
 :func:`count_range` counts the preferences of a rank range by a weighted
 DP, one car at a time.  What the predicates ask of a preference is held in
 one int64 node: its parking state and its excess key.  The parking state
-takes the low n + 1 bits: bit s - 1 is set when spot s is taken, and bit n
-once some car has exited (the taken spots are then dropped).  Where a car
-parks depends only on the taken spots, its preference and its window, so
-:func:`_children` maps a state to its n child states with
-:func:`_step_block`.  The excess profile depends only on how many cars
-prefer each spot, so above the state sit n - 1 lanes that count, for
-j = 2..n, the cars preferring a spot below j.  Prefixes that reach the same
-node are merged and carried once, with their number as its weight.
-:func:`naplespf.simulator._step` is the scalar reference for the parking
-rule written here.
+takes the low n + 1 bits, in the park table's street encoding: bit s is
+set while spot s is free, and bit 0, which no spot uses, once some car has
+exited (the free spots are then dropped).  The excess profile depends only
+on how many cars prefer each spot, so above the state sit n - 1 lanes that
+count, for j = 2..n, the cars preferring a spot below j.  Prefixes that
+reach the same node are merged and carried once, with their number as its
+weight.
 
 A node needs (n + 1) + (n - 1) * (n.bit_length() + 1) bits, so
 :func:`count_range` is limited to n <= 11, the one size limit on counting:
@@ -49,32 +51,39 @@ MAX_N = 11
 MERGE_MIN = 512
 
 
-def _step_block(free, a, k):
-    """Spot taken by one car per column, as a one-bit int64 mask, or 0.
+def _street(length):
+    """Free-spot bitmask of an empty street of ``length`` spots: bits 1..length."""
+    return (np.int64(2) << length) - 2
 
-    ``free`` holds each column's bitmask of free spots and ``a`` its car's
-    preferred spot.  The car takes its preferred spot, else the nearest free
-    spot at most k behind, probed as ``(bit >> t) & free`` for t = 1, 2, ...,
-    else the lowest free spot ahead, ``f & -f``; 0 means it exits.
+
+@functools.lru_cache(maxsize=None)
+def park_table(n, window):
+    """Where one car parks, by free set and preferred spot, for n spots.
+
+    Entry ``free * (n + 1) + a`` is for a car preferring spot a on a street
+    whose free spots are bits 1..n of ``free`` (2^(n+1) rows; bit 0 is never
+    a spot): the two flat arrays give its spot, 0 when it exits, and the
+    free set it leaves.  The car takes its preferred spot, else the nearest
+    free spot at most ``window`` behind, probed as ``(bit >> t) & street``
+    for t = 1, 2, ..., else the lowest free spot ahead, ``f & -f``.  Column
+    a = 0 is a car that sits out.  Built once per (n, window), and read-only.
     """
-    bit = np.left_shift(1, a, dtype=np.int64)
-    spot = bit & free
-    for t in range(1, k + 1):
-        spot = np.where(spot == 0, (bit >> t) & free, spot)
-    ahead = free & -(bit << 1)
-    return np.where(spot == 0, ahead & -ahead, spot)
-
-
-def _children(states, n, window):
-    """Child states of each parking state, one column per preferred spot.
-
-    Column a - 1 of the ``(len(states), n)`` result is the state after one
-    more car, preferring spot a, parks (its spot's bit set) or exits (bit n
-    set).  A set bit n stays set.
-    """
-    free = ~(states[:, None] << 1) & ((1 << (n + 1)) - 2)  # bits 1..n
-    spot = _step_block(free, np.arange(1, n + 1), window)
-    return states[:, None] | (spot >> 1) | ((spot == 0).astype(np.int64) << n)
+    free = np.arange(2 << n, dtype=np.int64)[:, None]
+    street = free & -2
+    bit = np.left_shift(1, np.arange(n + 1), dtype=np.int64)
+    bit[0] = 0  # a car that sits out takes no spot
+    spot = bit & street
+    for t in range(1, window + 1):
+        spot = np.where(spot == 0, (bit >> t) & street, spot)
+    ahead = street & -(bit << 1)
+    spot = np.where(spot == 0, ahead & -ahead, spot)
+    index = np.zeros(2 << n, np.int8)  # spot s by its bit 2^s
+    index[bit] = np.arange(n + 1)
+    spot_of = index[spot].ravel()
+    left = (free ^ spot).ravel()
+    spot_of.setflags(write=False)
+    left.setflags(write=False)
+    return spot_of, left
 
 
 def _lanes(n):
@@ -88,17 +97,17 @@ def _step_table(n, window):
     """What one car adds to a node, by parking state and preferred spot.
 
     Row s, column a - 1 holds the child state minus s, plus 1 in the lane of
-    every position j > a.  Built once per (n, window) and read-only; n <= 11
-    bounds the cache at 66 tables of at most 2^12 x 11 int64 (360 KB).
+    every position j > a.  The child state is the free set the car leaves,
+    or 1 if it exits: no predicate reads the spots once a car has exited, so
+    all such prefixes drop to the exit flag alone and merge.  Built once per
+    (n, window) and read-only; n <= 11 bounds the cache at 66 tables of at
+    most 2^12 x 11 int64 (360 KB).
     """
     _, units = _lanes(n)
     lanes = np.array([sum(units[a:]) for a in range(n)], np.int64)
-    states = np.arange(2 << n, dtype=np.int64)
-    child = _children(states, n, window)
-    # Once a car has exited no predicate reads the taken spots, so an exited
-    # child keeps bit n only and such prefixes merge sooner.
-    child = np.where(child >> n & 1, 1 << n, child)
-    step = child - states[:, None] + lanes
+    left = park_table(n, window)[1].reshape(-1, n + 1)[:, 1:]
+    states = np.arange(2 << n, dtype=np.int64)[:, None]
+    step = np.where(left == states, 1, left) - states + lanes  # equal: it exits
     step.setflags(write=False)
     return step
 
@@ -133,7 +142,7 @@ def count_range(n, k, start, stop, counts):
     of n falls to d = n, one node per rank.  At the last level a biased
     lane has its guard bit clear exactly when position j is critical,
     u_j = j - 1 - lane >= 1, and every predicate is read off those guard
-    bits and bit n.  Raises ``ValueError`` when n < 1, and its subclass
+    bits and the exit flag.  Raises ``ValueError`` when n < 1, and its subclass
     :class:`~naplespf.errors.SizeLimitExceeded` when n > 11, where a node no
     longer fits an int64.
     """
@@ -147,14 +156,13 @@ def count_range(n, k, start, stop, counts):
     guards = guard * sum(units)
     bias = sum((guard - j + 1) * unit for j, unit in enumerate(units, start=2))
     step = _step_table(n, min(k, n - 1))  # a car never backs up past spot 1
-    exited = 1 << n
-    mask = 2 * exited - 1
+    mask = (2 << n) - 1  # the parking state: free set and exit flag
 
     d, size = 0, n**n  # size: ranks under one prefix of level d
     while start % size or stop % size:
         d, size = d + 1, size // n
     prefixes = np.arange(start // size, stop // size, dtype=np.int64)
-    nodes = np.zeros(len(prefixes), np.int64)
+    nodes = np.full(len(prefixes), _street(n))
     for level in range(1, d + 1):  # one car per digit a - 1, most significant first
         nodes += step[nodes & mask, prefixes // n ** (d - level) % n]
     weights = np.ones(len(nodes), np.int64)
@@ -165,7 +173,7 @@ def count_range(n, k, start, stop, counts):
             nodes, weights = _merge(nodes, weights)
 
     critical = ((nodes + bias) & guards) ^ guards  # guard bit per u_j >= 1
-    parked = (nodes & exited) == 0
+    parked = (nodes & 1) == 0
     run = critical  # after t passes: lanes that start t + 1 critical in a row
     for _ in range(min(k, n - 1)):
         run = run & (run >> width)

@@ -4,15 +4,17 @@
 bounded at any n (:func:`_blocks`).  In a block every preference is one row:
 the cars' preferred spots are an ``(n, rows)`` int8 array, and so are their
 spots under each window, parked car by car by :func:`_park`: one lookup
-per car in :func:`_park_table`, the parking rule tabulated once per
-(n, window) by :func:`naplespf._kernels._step_block`.  Each registered
-property is one function of ``(block, k)`` in :data:`HOLDS` that returns
-the mask of rows on which it holds.  The witness properties read flat
-passes over the block's (row, maximal interval) pairs, all parked the same
-way: the extraction of :func:`~naplespf.characterize.find_witness` with its
-certificate re-check, the subset scan of
-:func:`~naplespf.characterize.enumerate_witnesses` over the 2^n car masks,
-and the process restricted to the cars preferring spots >= p.  Permutation invariance is compared per multiset after the last block.
+per car in :func:`naplespf._kernels.park_table`, the parking rule
+tabulated once per (n, window), the same table the counting DP reads.
+Each registered property is one function of ``(block, k)`` in
+:data:`HOLDS` that returns the mask of rows on which it holds.  The
+witness properties read flat passes over the block's (row, maximal
+interval) pairs, all parked the same way: the extraction of
+:func:`~naplespf.characterize.find_witness` with its certificate re-check,
+the subset scan of :func:`~naplespf.characterize.enumerate_witnesses` over
+the 2^n car masks, and the process restricted to the cars preferring
+spots >= p.  Permutation invariance is compared per multiset after the
+last block.
 
 The scalar bodies of the same facts are the public ``check_*`` and
 ``verify_*`` functions of :mod:`naplespf.classify` and
@@ -22,12 +24,11 @@ and with it numpy, on the first :func:`~naplespf.sweeps.verify_sweep` call.
 
 from __future__ import annotations
 
-import functools
 import itertools
 
 import numpy as np
 
-from . import _kernels
+from ._kernels import _street, park_table
 from .characterize import _SUBSET_SEARCH_CAP
 from .core import ParkingPreference
 from .errors import VerificationFailed
@@ -60,46 +61,19 @@ def _blocks(n):
         yield prefs.copy()
 
 
-def _street(length):
-    """Free-spot bitmask of an empty street of ``length`` spots: bits 1..length."""
-    return (np.int64(2) << length) - 2
-
-
-@functools.lru_cache(maxsize=None)
-def _park_table(n, window):
-    """Where one car parks, by free set and preferred spot, for n spots.
-
-    Entry ``free * (n + 1) + a`` is for a car preferring spot a on a street
-    whose free spots are the set bits of ``free`` (bits 1..n, 2^(n+1) rows):
-    the two flat arrays give its spot, 0 when it exits, and the free set
-    it leaves.  Column a = 0 is a car that sits out: spot 0, free set
-    unchanged.  Built once per (n, window) by one
-    :func:`naplespf._kernels._step_block` call, and read-only.
-    """
-    free = np.arange(2 << n, dtype=np.int64)[:, None]
-    bit = _kernels._step_block(free, np.arange(n + 1), window)
-    bit[:, 0] = 0
-    # 2^s + 1 has binary exponent s + 1; a car with no spot gives 1 + 1
-    spot_of = (np.frexp(bit | 1)[1] - 1).astype(np.int8).ravel()
-    left = (free ^ bit).ravel()
-    spot_of.setflags(write=False)
-    left.setflags(write=False)
-    return spot_of, left
-
-
 def _park(prefs, active, free, window):
     """Spot of each car, 0 for a car that exits or sits out, as int8.
 
     ``prefs`` is ``(cars, columns)``; each column is one process whose cars
     run in order on the spots set in its entry of ``free``, all within
     1..cars.  ``active`` marks the cars that run (None: all of them).  Each
-    car is one lookup in :func:`_park_table`, so every active car must
-    prefer a spot in 1..cars.  Every caller keeps to that: a car that runs
-    with its preference shifted down by p - 2 preferred p - 1 or more, and
-    an interval starts at p >= 2, since u_1 = 0.
+    car is one lookup in :func:`~naplespf._kernels.park_table`, so every
+    active car must prefer a spot in 1..cars.  Every caller keeps to that:
+    a car that runs with its preference shifted down by p - 2 preferred
+    p - 1 or more, and an interval starts at p >= 2, since u_1 = 0.
     """
     n = len(prefs)
-    spot_of, left = _park_table(n, window)
+    spot_of, left = park_table(n, window)
     a = prefs if active is None else np.where(active, prefs, 0)
     spots = np.empty(prefs.shape, np.int8)
     for car in range(n):

@@ -26,8 +26,8 @@ from .simulator import park_with_trace
 _EXIT_PREDICATE_FALSE = 1
 _EXIT_COUNTEREXAMPLE = 3
 # sweep --verify stops at n = 7 for time alone: pinned to one vCPU of a Xeon,
-# verify_sweep(6) takes about 0.5 s and verify_sweep(7) 7-9 s, and n = 8 has
-# 20x as many preferences as n = 7.
+# verify_sweep(6) takes about 0.3 s and verify_sweep(7) about 6 s, and n = 8
+# has 20x as many preferences as n = 7.
 _VERIFY_MAX_N = 7
 
 

@@ -301,8 +301,13 @@ def find_counterexample(
 
     Runs :func:`verify_sweep` for windows 0..k_max at each length in
     increasing order, so e.g. the deliberately false excess-bound property
-    yields (2,3,3) at n=3, k=1.
+    yields (2,3,3) at n=3, k=1.  Raises ``ValueError`` when n_max < 1 or
+    k_max < 0, where there would be nothing to check.
     """
+    if n_max < 1:
+        raise ValueError(f"need n_max >= 1, got {n_max}")
+    if k_max < 0:
+        raise ValueError(f"need k_max >= 0, got {k_max}")
     if property_name not in PROPERTIES:
         raise UnknownProperty(
             f"unknown property {property_name!r}; known: {sorted(PROPERTIES)}"

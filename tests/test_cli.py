@@ -406,7 +406,7 @@ class TestSweep:
     def test_n_max_above_cap_exits_2_before_work(
         self, runner, monkeypatch, json_flag, extra, message
     ):
-        from naplespf import sweeps
+        from naplespf import _kernels, _verify, sweeps
 
         calls = []
 
@@ -415,7 +415,8 @@ class TestSweep:
 
         monkeypatch.setattr(sweeps, "sweep", record)
         monkeypatch.setattr(sweeps, "verify_sweep", record)
-        monkeypatch.setattr(sweeps, "iter_preferences", record)
+        monkeypatch.setattr(_verify, "_blocks", record)
+        monkeypatch.setattr(_kernels, "count_range", record)
         result = runner.invoke(main, ["sweep", *extra, *json_flag])
         assert result.exit_code == 2
         assert result.stdout == ""

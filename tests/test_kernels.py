@@ -224,39 +224,55 @@ class TestCountRange:
         assert whole[_kernels.IDX_PARKING_FUNCTION] > 0
 
 
-class TestStateTable:
-    def test_children_match_simulator(self):
-        # every state (exit bit included), every preference and every window
-        for n in range(1, 8):
-            exited = 1 << n
-            states = np.arange(2 * exited, dtype=np.int64)
-            for k in range(n + 1):
-                table = _kernels._children(states, n, k)
-                assert table.shape == (2 * exited, n)
-                assert (table[exited:] & exited).all(), (n, k)
-                for state, row in zip(states.tolist(), table.tolist()):
-                    occ = (state & (exited - 1)) << 1  # bit s for spot s
-                    for a, child in enumerate(row, start=1):
-                        spot = simulator._step(occ, a, k, n)
-                        bit = exited if spot is None else 1 << (spot - 1)
-                        assert child == state | bit, (n, k, state, a)
+def park_table_matches_simulator(n, k):
+    """Compare park_table(n, k) with simulator._step on every free set of
+    [n] and every preferred spot; a = 0 sits out."""
+    spot_of, left = _kernels.park_table(n, k)
+    assert spot_of.shape == left.shape == ((2 << n) * (n + 1),)
+    spots, frees = [], []
+    for free in range(0, 2 << n, 2):
+        occ = ((2 << n) - 2) ^ free  # bit s for each taken spot s
+        spots.append(0)
+        frees.append(free)
+        for a in range(1, n + 1):
+            spot = simulator._step(occ, a, k, n) or 0
+            spots.append(spot)
+            frees.append(free ^ (1 << spot) if spot else free)
+    evens = np.arange(0, 2 << n, 2)[:, None] * (n + 1) + np.arange(n + 1)
+    assert spot_of[evens].ravel().tolist() == spots, (n, k)
+    assert left[evens].ravel().tolist() == frees, (n, k)
 
 
 class TestParkKernels:
     def test_uniform_matches_simulator(self):
-        # every occupied set of [n], every preference and every window
-        for n in range(1, 8):
-            occ, a = np.meshgrid(
-                np.arange(0, 1 << (n + 1), 2), np.arange(1, n + 1), indexing="ij"
-            )
-            occ, a = occ.ravel(), a.ravel()
-            free = ((1 << (n + 1)) - 2) ^ occ  # bits 1..n
+        # every free set of [n], every preferred spot and every window
+        for n in range(1, 9):
             for k in range(n + 1):
-                want = [
-                    0 if s is None else 1 << s
-                    for s in (simulator._step(int(o), int(b), k, n) for o, b in zip(occ, a))
-                ]
-                assert _kernels._step_block(free, a, k).tolist() == want, (n, k)
+                park_table_matches_simulator(n, k)
+
+    @pytest.mark.parametrize("n", [9, 10, 11])
+    def test_largest_counting_streets_match_simulator(self, n):
+        # the sizes only counting reaches, at the windows that differ most
+        for k in (0, 1, n - 1):
+            park_table_matches_simulator(n, k)
+
+
+class TestStateTable:
+    def test_children_match_simulator(self):
+        # every state (exit flag included), every preference and every
+        # window: a car takes its spot's bit out of the free set, and a car
+        # that exits drops its prefix to the exit flag alone
+        for n in range(1, 8):
+            _, units = _kernels._lanes(n)
+            for k in range(n + 1):
+                table = _kernels._step_table(n, k)
+                assert table.shape == (2 << n, n)
+                for state, row in enumerate(table.tolist()):
+                    occ = ((2 << n) - 2) & ~state  # bit s for each taken spot s
+                    for a, step in enumerate(row, start=1):
+                        spot = simulator._step(occ, a, k, n)
+                        child = 1 if spot is None else state ^ (1 << spot)
+                        assert step == child - state + sum(units[a - 1 :]), (n, k, state, a)
 
 
 class TestWitnessSearch:

@@ -282,6 +282,16 @@ class TestFalsification:
         with pytest.raises(UnknownProperty):
             find_counterexample(2, 1, "not_a_property")
 
+    @pytest.mark.parametrize(
+        "n_max, k_max, message",
+        [(0, 1, "need n_max >= 1, got 0"), (3, -1, "need k_max >= 0, got -1")],
+    )
+    def test_empty_range_is_an_error(self, n_max, k_max, message):
+        # nothing checked must not read as "no counterexample", least of
+        # all for the property that is false
+        with pytest.raises(ValueError, match=message):
+            find_counterexample(n_max, k_max, "excess_bound_is_sufficient")
+
     def test_registry_is_documented(self):
         for prop in PROPERTIES.values():
             assert prop.doc

@@ -132,23 +132,6 @@ class TestMatchesScalarReference:
                 assert structural == is_permutation_invariant(pref, k), (multiset, k)
 
 
-class TestParkTable:
-    @pytest.mark.parametrize("n", range(1, 9))
-    def test_matches_simulator(self, n):
-        # every free set of [n], every preferred spot and every window the
-        # engine runs; a = 0 sits out
-        for w in range(n):
-            spot_of, left = _verify._park_table(n, w)
-            for free in range(0, 2 << n, 2):
-                occ = ((2 << n) - 2) ^ free
-                row = free * (n + 1)
-                assert (spot_of[row], left[row]) == (0, free), (n, w, free)
-                for a in range(1, n + 1):
-                    spot = simulator._step(occ, a, w, n) or 0
-                    want = (spot, free & ~(1 << spot) if spot else free)
-                    assert (spot_of[row + a], left[row + a]) == want, (n, w, free, a)
-
-
 class TestBackwardOccupancy:
     """char_complete_equivalence's agreement cannot see a fault in its
     backward-occupancy leg: on a complete preference the leg says the same
