@@ -11,13 +11,15 @@ preference.  ``Case`` and ``REFERENCE`` restate every per-preference
 property of ``verify_sweep`` through the scalar API, one preference at a
 time: the reference for the flat verification engine.  ``SRC`` is the
 directory that holds the package under test, for the ``PYTHONPATH`` of
-subprocess tests.
+subprocess tests.  ``park_table_matches_simulator`` checks the tabulated
+parking rule against the simulator's own step, spot by spot.
 """
 
 import itertools
 import math
 from pathlib import Path
 
+import numpy as np
 from hypothesis import strategies as st
 
 import naplespf
@@ -36,6 +38,8 @@ from naplespf import (
     multiplicities,
     park_uniform,
 )
+from naplespf import simulator
+from naplespf._kernels import park_table
 from naplespf.characterize import (
     _SUBSET_SEARCH_CAP,
     _summary_consistent,
@@ -456,3 +460,22 @@ def preferences_with_windows(draw, min_n=1, max_n=7, max_k=None):
         st.lists(st.integers(0, hi), min_size=pref.n, max_size=pref.n)
     )
     return pref, tuple(windows)
+
+
+def park_table_matches_simulator(n, k):
+    """Compare park_table(n, k) with simulator._step on every free set of
+    [n] and every preferred spot; a = 0 sits out."""
+    spot_of, left = park_table(n, k)
+    assert spot_of.shape == left.shape == ((2 << n) * (n + 1),)
+    spots, frees = [], []
+    for free in range(0, 2 << n, 2):
+        occ = ((2 << n) - 2) ^ free  # bit s for each taken spot s
+        spots.append(0)
+        frees.append(free)
+        for a in range(1, n + 1):
+            spot = simulator._step(occ, a, k, n) or 0
+            spots.append(spot)
+            frees.append(free ^ (1 << spot) if spot else free)
+    evens = np.arange(0, 2 << n, 2)[:, None] * (n + 1) + np.arange(n + 1)
+    assert spot_of[evens].ravel().tolist() == spots, (n, k)
+    assert left[evens].ravel().tolist() == frees, (n, k)

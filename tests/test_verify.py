@@ -7,7 +7,12 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import REFERENCE, Case, permutation_invariant_by_enumeration
+from helpers import (
+    REFERENCE,
+    Case,
+    park_table_matches_simulator,
+    permutation_invariant_by_enumeration,
+)
 from naplespf import (
     Counterexample,
     ParkingPreference,
@@ -20,7 +25,7 @@ from naplespf import (
     restricted_spot_before_occupied,
     verify_sweep,
 )
-from naplespf import _verify, simulator
+from naplespf import _verify
 from naplespf.characterize import _upper_part_parks, _witness_subsets
 from naplespf.classify import _equivalences
 from naplespf.sweeps import PROPERTIES
@@ -130,6 +135,15 @@ class TestMatchesScalarReference:
                 assert perm.all_park[i, c] == permutation_invariant_by_enumeration(pref, k)
                 structural = _verify._invariant_by_structure(perm.longest[c], k)
                 assert structural == is_permutation_invariant(pref, k), (multiset, k)
+
+
+class TestParkTable:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_simulator(self, n):
+        # every free set of [n], every preferred spot and every window the
+        # engine runs; a = 0 sits out
+        for w in range(n):
+            park_table_matches_simulator(n, w)
 
 
 class TestBackwardOccupancy:
