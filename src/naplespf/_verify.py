@@ -13,8 +13,9 @@ interval) pairs, all parked the same way: the extraction of
 :func:`~naplespf.characterize.find_witness` with its certificate re-check,
 the subset scan of :func:`~naplespf.characterize.enumerate_witnesses` over
 the 2^n car masks, and the process restricted to the cars preferring
-spots >= p.  Permutation invariance is compared per multiset after the
-last block.
+spots >= p.  Each such pass is made once per block and window, by
+:func:`_per_window`.  Permutation invariance is compared per multiset after
+the last block.
 
 The scalar bodies of the same facts are the public ``check_*`` and
 ``verify_*`` functions of :mod:`naplespf.classify` and
@@ -24,6 +25,7 @@ and with it numpy, on the first :func:`~naplespf.sweeps.verify_sweep` call.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -36,8 +38,6 @@ from .sweeps import Counterexample
 
 #: Rows per block at most; a block is every preference under one prefix.
 BLOCK_ROWS = 1 << 16
-#: (pair, car mask) candidates of the subset scan parked at once.
-SCAN_CHUNK = 1 << 16
 
 
 def _blocks(n):
@@ -93,6 +93,22 @@ def _all_ran(spots, active):
     return ((spots > 0) | ~active).all(0)
 
 
+def _per_window(make):
+    """Make the pass ``make(block, w)`` once per block, keyed by its name and
+    the window w = min(k, n - 1) the kernels run: a car never backs up past
+    spot 1, so k = n - 1 and k = n share one pass."""
+
+    @functools.wraps(make)
+    def once(self, k):
+        w = min(k, self.n - 1)
+        key = (make.__name__, w)
+        if key not in self._cache:
+            self._cache[key] = make(self, w)
+        return self._cache[key]
+
+    return once
+
+
 class _Block:
     """Rows of preferences with their excess and intervals, and per window
     the outcome and the witness passes, each made once."""
@@ -130,22 +146,13 @@ class _Block:
         self.iv_prefs = prefs[:, self.iv_row]
         self._cache = {}
 
-    def _once(self, key, make):
-        if key not in self._cache:
-            self._cache[key] = make()
-        return self._cache[key]
+    @_per_window
+    def spots(self, w):
+        return _outcome(self.prefs, w)
 
-    def window(self, k):
-        """The window the kernel runs for k: a car never backs up past spot 1."""
-        return min(k, self.n - 1)
-
-    def spots(self, k):
-        w = self.window(k)
-        return self._once(("spots", w), lambda: _outcome(self.prefs, w))
-
-    def parked(self, k):
-        w = self.window(k)
-        return self._once(("parked", w), lambda: (self.spots(k) > 0).all(0))
+    @_per_window
+    def parked(self, w):
+        return (self.spots(w) > 0).all(0)
 
     def any_pair(self, flags):
         """Rows with at least one flagged (row, interval) pair."""
@@ -163,34 +170,21 @@ class _Block:
         full = int(_street(self.n))
         return held & full == full
 
-    def witnesses(self, k):
+    @_per_window
+    def witnesses(self, w):
         """:func:`_extract` on every pair: (found, chosen cars, re-check passed)."""
-        w = self.window(k)
-        return self._once(
-            ("witnesses", w), lambda: _extract(self.iv_prefs, self.iv_p, self.iv_q, w)
-        )
+        return _extract(self.iv_prefs, self.iv_p, self.iv_q, w)
 
     def recheck_failed(self, k):
         """Rows with an extracted witness that fails its re-check."""
         found, _, ok = self.witnesses(k)
         return self.any_pair(found & ~ok)
 
-    def scan(self, k):
-        """Whether some subset of the cars preferring >= p is a witness, per
-        pair: enumerate_witnesses' scan over every car mask."""
-        w = self.window(k)
-
-        def make():
-            found = np.zeros(len(self.iv_p), bool)
-            found[self.subsets(k)[0]] = True
-            return found
-
-        return self._once(("scan", w), make)
-
+    @functools.cached_property
     def _scan_candidates(self):
-        """(pair, car mask) pairs whose cars pass every witness test but
-        parking: h >= q-p+2 of them, all preferring spots in [p, p-2+h], and
-        complete once shifted down by p - 2."""
+        """(pair, shifted preferences, car mask) triples whose cars pass
+        every witness test but parking: h >= q-p+2 of them, all preferring
+        spots in [p, p-2+h], and complete once shifted down by p - 2."""
         n, p, q, prefs = self.n, self.iv_p, self.iv_q, self.iv_prefs
         bits = np.arange(n)[:, None]
         # per pair and size h: the cars a witness of h cars cannot hold, or
@@ -206,40 +200,31 @@ class _Block:
             pairs.append(hit)
             masks.append(np.full(len(hit), mask))
         pair, chosen = np.concatenate(pairs), cars[:, np.concatenate(masks)]
-        complete = _complete(prefs[:, pair] - (p[pair] - 2).astype(np.int8), chosen)
-        return pair[complete], chosen[:, complete]
+        beta = prefs[:, pair] - (p[pair] - 2).astype(np.int8)
+        complete = _complete(beta, chosen)
+        return pair[complete], beta[:, complete], chosen[:, complete]
 
-    def subsets(self, k):
-        """Every witness of every pair, by the subset scan: (pair, chosen
-        cars), candidates parked :data:`SCAN_CHUNK` at a time."""
-        pairs, chosen = self._once("candidates", self._scan_candidates)
-        parks = np.zeros(len(pairs), bool)
-        for lo in range(0, len(pairs), SCAN_CHUNK):
-            pair, active = pairs[lo : lo + SCAN_CHUNK], chosen[:, lo : lo + SCAN_CHUNK]
-            beta = self.iv_prefs[:, pair] - (self.iv_p[pair] - 2).astype(np.int8)
-            spots = _park(beta, active, _street(active.sum(0)), self.window(k))
-            parks[lo : lo + SCAN_CHUNK] = _all_ran(spots, active)
-        return pairs[parks], chosen[:, parks]
+    @_per_window
+    def subsets(self, w):
+        """Every witness of every pair, by the subset scan of every
+        candidate: (pair, chosen cars)."""
+        pair, beta, chosen = self._scan_candidates
+        parks = _all_ran(_park(beta, chosen, _street(chosen.sum(0)), w), chosen)
+        return pair[parks], chosen[:, parks]
 
-    def before(self, k):
+    @_per_window
+    def before(self, w):
         """:func:`_spot_before_fills` on every pair."""
-        w = self.window(k)
-        return self._once(
-            ("before", w), lambda: _spot_before_fills(self.iv_prefs, self.iv_p, w)
-        )
+        return _spot_before_fills(self.iv_prefs, self.iv_p, w)
 
-    def uppers_park(self, k):
+    @_per_window
+    def uppers_park(self, w):
         """:func:`_upper_parks` at every zero j >= 2 of the excess, per row
-        that parks under k; True on the other rows."""
-        w = self.window(k)
-
-        def make():
-            pos, row = np.nonzero((self.u[1:] == 0) & self.parked(k))
-            out = np.ones(self.rows, bool)
-            out[row[~_upper_parks(self.prefs[:, row], pos + 2, w)]] = False
-            return out
-
-        return self._once(("uppers", w), make)
+        that parks under w; True on the other rows."""
+        pos, row = np.nonzero((self.u[1:] == 0) & self.parked(w))
+        out = np.ones(self.rows, bool)
+        out[row[~_upper_parks(self.prefs[:, row], pos + 2, w)]] = False
+        return out
 
 
 def _extract(prefs, p, q, window):
@@ -411,7 +396,9 @@ def _search_matches_extraction(b, k):
     if b.n > _SUBSET_SEARCH_CAP:
         return np.ones(b.rows, bool)
     found, _, _ = b.witnesses(k)
-    return ~b.any_pair(b.scan(k) != found)
+    scanned = np.zeros(len(found), bool)  # some subset is a witness, per pair
+    scanned[b.subsets(k)[0]] = True
+    return ~b.any_pair(scanned != found)
 
 
 def _tail_lemma(b, k):

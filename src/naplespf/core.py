@@ -14,6 +14,7 @@ be shared freely across threads.  A preference keeps its excess profile once
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -71,7 +72,10 @@ class ParkingPreference:
     _excess = None
 
     def __post_init__(self) -> None:
-        prefs = tuple(map(int, self.prefs))
+        try:
+            prefs = tuple(map(operator.index, self.prefs))
+        except TypeError:
+            raise InvalidPreference(f"entries must be integers: {self.prefs!r}") from None
         object.__setattr__(self, "prefs", prefs)
         n = len(prefs)
         if n == 0:
@@ -219,7 +223,10 @@ def shift(pref: ParkingPreference, w: int) -> ParkingPreference:
 
 def _shifted(prefs: tuple[int, ...], w: int) -> ParkingPreference:
     """``prefs`` moved down by w, raising ShiftOutOfRange off the street."""
-    w = int(w)
+    try:
+        w = operator.index(w)
+    except TypeError:
+        raise ShiftOutOfRange(f"shift must be an integer, got {w!r}") from None
     if w < 0:
         raise ShiftOutOfRange(f"shift must be non-negative, got {w}")
     if w >= min(prefs):

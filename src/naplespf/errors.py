@@ -6,11 +6,11 @@ class ParkingError(ValueError):
 
 
 class InvalidPreference(ParkingError):
-    """Sequence is not a valid parking preference (empty, or an entry out of range)."""
+    """Not a valid parking preference: empty, or an entry not an integer in 1..n."""
 
 
 class ShiftOutOfRange(ParkingError):
-    """Shifting would push some entry below spot 1 (or the shift is negative)."""
+    """The shift is negative, not an integer, or pushes some entry below spot 1."""
 
 
 class EmptyIndexSet(ParkingError):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .core import ParkingPreference
 from .errors import InvalidPreference, LengthMismatch
@@ -71,10 +71,16 @@ class CarStep:
 ParkingTrace = tuple[CarStep, ...]
 
 
-def _check_window(k: int, least: int = 0) -> None:
-    """Raise ``ValueError`` unless the backward window k is at least ``least``."""
+def _check_window(k: int, least: int = 0) -> int:
+    """The backward window k as an int; ``ValueError`` unless it is an
+    integer of at least ``least``."""
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise ValueError(f"backward window must be an integer, got {k!r}") from None
     if k < least:
         raise ValueError(f"backward window must be >= {least}, got {k}")
+    return k
 
 
 def as_windows(k: int | Sequence[int], n: int) -> tuple[int, ...]:
@@ -82,16 +88,12 @@ def as_windows(k: int | Sequence[int], n: int) -> tuple[int, ...]:
     try:
         k = operator.index(k)
     except TypeError:
-        pass
-    if isinstance(k, int):
-        _check_window(k)
-        return (k,) * n
-    win = tuple(int(x) for x in k)
-    if len(win) != n:
-        raise LengthMismatch(f"{len(win)} windows for {n} cars")
-    for x in win:
-        _check_window(x)
-    return win
+        if isinstance(k, Iterable):
+            win = tuple(map(_check_window, k))
+            if len(win) != n:
+                raise LengthMismatch(f"{len(win)} windows for {n} cars")
+            return win
+    return (_check_window(k),) * n
 
 
 def _step(occ: int, a: int, k: int, n_spots: int) -> int | None:

@@ -341,19 +341,18 @@ def verify_sweep(
     extracted witness whose certificate re-check fails raises
     :class:`~naplespf.errors.VerificationFailed` instead, with the
     :class:`Counterexample` (preference, n, k, property) being checked as its
-    ``counterexample``.  n below 1 or a window below 0 raises ``ValueError``.
+    ``counterexample``.  n below 1, or a window below 0 or not an integer,
+    raises ``ValueError``.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if ks is None:
         ks = range(1, n + 1)
-    ks = list(ks)
     names = TRUE_PROPERTIES if properties is None else tuple(properties)
     unknown = [name for name in names if name not in PROPERTIES]
     if unknown:
         raise UnknownProperty(f"unknown properties: {unknown}")
-    for k in ks:
-        simulator._check_window(k)
+    ks = [simulator._check_window(k) for k in ks]
     checks = []  # (property, k) in the order each preference tries them
     for prop in (PROPERTIES[name] for name in names if name != "perm_invariance"):
         windows = (prop.k_min,) if prop.k_independent else ks

@@ -100,6 +100,10 @@ class TestExcessBound:
     def test_violated(self):
         assert not necessary_excess_bound(ParkingPreference((3, 3, 3)), 1)
 
+    def test_window_that_is_not_an_integer(self):
+        with pytest.raises(ValueError, match="must be an integer"):
+            necessary_excess_bound(ParkingPreference((2, 3, 3)), 1.5)
+
     @given(preferences(max_n=6))
     @settings(max_examples=200)
     def test_necessary(self, pref):

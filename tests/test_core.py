@@ -37,6 +37,18 @@ class TestParkingPreference:
         with pytest.raises(InvalidPreference):
             ParkingPreference(bad)
 
+    @pytest.mark.parametrize("bad", [(2.9, 1), ("3", "1", "2"), (1.0,)])
+    def test_rejects_entries_that_are_not_integers(self, bad):
+        # neither truncated nor parsed
+        with pytest.raises(InvalidPreference, match="must be integers"):
+            ParkingPreference(bad)
+
+    def test_numpy_integer_entries(self):
+        import numpy as np
+
+        pref = ParkingPreference(tuple(np.array([2, 1], np.int8)))
+        assert pref.prefs == (2, 1) and all(type(a) is int for a in pref)
+
     def test_parse_render_round_trip(self):
         text = "3,1,3,5,2,4,2"
         pref = ParkingPreference.parse(text)
@@ -178,7 +190,11 @@ class TestShift:
 
     @pytest.mark.parametrize(
         "w, message",
-        [(-1, "shift must be non-negative, got -1"), (1, "shift by 1 drops entry 1 below spot 1")],
+        [
+            (-1, "shift must be non-negative, got -1"),
+            (1, "shift by 1 drops entry 1 below spot 1"),
+            (0.7, "shift must be an integer, got 0.7"),
+        ],
     )
     def test_restrict_shift_raises_as_shift(self, w, message):
         pref = ParkingPreference((2, 1))

@@ -94,6 +94,12 @@ class TestWindows:
         with pytest.raises(ValueError):
             park(ParkingPreference((1, 2)), (0, -1))
 
+    @pytest.mark.parametrize("windows", [1.5, (1.9, 0.5), (1, "1"), "11"])
+    def test_windows_that_are_not_integers_rejected(self, windows):
+        # neither truncated nor failing deep inside the run
+        with pytest.raises(ValueError, match="must be an integer"):
+            park(ParkingPreference((2, 1)), windows)
+
     def test_numpy_scalar_window(self):
         import numpy as np
 

@@ -35,6 +35,20 @@ from naplespf import _kernels, _verify, simulator, sweeps
 from naplespf.sweeps import PROPERTIES, TRUE_PROPERTIES, MonotoneWindowViolation
 
 
+def k_naples_by_recurrence(n, k):
+    """Christensen et al.'s recurrence for the k-Naples count of length n:
+    N(m+1) = sum over i of C(m, i) * min(i+1+k, m+1) * N(i) * (m-i+1)^(m-i-1),
+    N(0) = 1; the i = m term is (m+1) * N(m)."""
+    counts = [1]
+    for m in range(n):
+        total = (m + 1) * counts[m]
+        for i in range(m):
+            ways = math.comb(m, i) * min(i + 1 + k, m + 1)
+            total += ways * counts[i] * (m - i + 1) ** (m - i - 1)
+        counts.append(total)
+    return counts[n]
+
+
 class TestCounting:
     def test_classical_counts(self):
         assert sweep(3, 0).counts["parking_function"] == 16
@@ -115,6 +129,14 @@ class TestCounting:
         # against a DP over occupied sets that never reads the kernel
         assert sweep(11, k).counts["k_naples"] == count
         assert naive_count_k_naples(11, k) == count
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_k_naples_matches_recurrence(self, n):
+        # a route that never parks a car, for every window
+        assert [sweep(n, k).counts["k_naples"] for k in range(n + 1)] == [
+            k_naples_by_recurrence(n, k) for k in range(n + 1)
+        ]
+        assert k_naples_by_recurrence(n, 0) == (n + 1) ** (n - 1)
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_complete_k_naples_matches_prefix_dp(self, n):
@@ -322,7 +344,7 @@ class TestVerifySweep:
         with pytest.raises(UnknownProperty):
             verify_sweep(2, properties=("bogus",))
 
-    @pytest.mark.parametrize("n, ks", [(0, None), (-1, None), (3, [1, -1])])
+    @pytest.mark.parametrize("n, ks", [(0, None), (-1, None), (3, [1, -1]), (3, [1.5])])
     def test_rejects_n_below_one_and_negative_windows(self, n, ks):
         with pytest.raises(ValueError):
             verify_sweep(n, ks)

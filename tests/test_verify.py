@@ -37,6 +37,15 @@ def whole_block(n):
     return _verify._Block(prefs), cases
 
 
+def scanned_witnesses(block, k):
+    """The subset scan's witnesses, as sets of 1-based car indices per pair."""
+    scanned = {}
+    pairs, chosen = block.subsets(k)
+    for e, cars in zip(pairs, chosen.T):
+        scanned.setdefault(e, set()).add(tuple(int(c) + 1 for c in np.flatnonzero(cars)))
+    return scanned
+
+
 @pytest.fixture(scope="module", params=[1, 2, 3, 4, 5])
 def block_and_cases(request):
     return whole_block(request.param)
@@ -70,10 +79,7 @@ class TestMatchesScalarReference:
         for k in range(1, block.n + 1):
             found, chosen, ok = block.witnesses(k)
             before = block.before(k)
-            scanned = {}
-            pairs, chosen_sets = block.subsets(k)
-            for e, cars in zip(pairs, chosen_sets.T):
-                scanned.setdefault(e, set()).add(tuple(int(c) + 1 for c in np.flatnonzero(cars)))
+            scanned = scanned_witnesses(block, k)
             for e, (row, p, q) in enumerate(zip(block.iv_row, block.iv_p, block.iv_q)):
                 pref = cases[row].pref
                 cert = find_witness(pref, k, (p, q))
@@ -83,8 +89,31 @@ class TestMatchesScalarReference:
                 assert ok[e] or not found[e], (pref, k, p)
                 listed = {j for j, _ in _witness_subsets(pref.prefs, k, int(p), int(q))}
                 assert scanned.get(e, set()) == listed, (pref, k, p)
-                assert block.scan(k)[e] == bool(listed), (pref, k, p)
                 assert before[e] == restricted_spot_before_occupied(pref, k, p)
+
+    def test_windows_n_minus_1_and_n_share_each_pass(self, block_and_cases):
+        # a car never backs up past spot 1, so k = n runs the kernels'
+        # window n - 1: the pass made there is the same object
+        block, _ = block_and_cases
+        n = block.n
+        for name in ("spots", "parked", "witnesses", "subsets", "before", "uppers_park"):
+            assert getattr(block, name)(n) is getattr(block, name)(n - 1), name
+
+    @pytest.mark.parametrize("n", [7, 8, 9])
+    def test_subset_scan_on_sampled_rows(self, n):
+        # past the exhaustive sizes: 100 uniform rows and 100 skewed to the
+        # top spots as n - floor(Exp(0.35)); from n = 9 on, a car mask
+        # needs more bits than an int8 holds
+        rng = np.random.default_rng(n)
+        uniform = rng.integers(1, n + 1, (n, 100))
+        skewed = n - np.floor(rng.exponential(1 / 0.35, (n, 100)))
+        block = _verify._Block(np.concatenate([uniform, skewed.clip(1, n)], 1).astype(np.int8))
+        for k in (1, 2, n - 1):
+            scanned = scanned_witnesses(block, k)
+            for e, (row, p, q) in enumerate(zip(block.iv_row, block.iv_p, block.iv_q)):
+                prefs = tuple(map(int, block.prefs[:, row]))
+                listed = {j for j, _ in _witness_subsets(prefs, k, int(p), int(q))}
+                assert scanned.get(e, set()) == listed, (prefs, k, p)
 
     def test_upper_parts(self, block_and_cases):
         # at every zero j >= 2 of the excess, on every row; the property
@@ -93,7 +122,7 @@ class TestMatchesScalarReference:
         pos, row = np.nonzero(block.u[1:] == 0)
         seen = set()
         for k in range(block.n + 1):
-            got = _verify._upper_parks(block.prefs[:, row], pos + 2, block.window(k))
+            got = _verify._upper_parks(block.prefs[:, row], pos + 2, min(k, block.n - 1))
             want = [_upper_part_parks(cases[r].pref, k, int(j)) for r, j in zip(row, pos + 2)]
             assert list(got) == want, k
             seen.update(want)
