@@ -7,15 +7,19 @@ spots under each window, parked car by car by :func:`_park`: one lookup
 per car in :func:`naplespf._kernels.park_table`, the parking rule
 tabulated once per (n, window), the same table the counting DP reads.
 Each registered property is one function of ``(block, k)`` in
-:data:`HOLDS` that returns the mask of rows on which it holds.  The
-witness properties read flat passes over the block's (row, maximal
-interval) pairs, all parked the same way: the extraction of
+:data:`HOLDS` that returns the mask of rows on which it holds.
+
+A block keeps its rows' maximal critical intervals in two forms: the masks
+of their starts and ends, and the list of (row, p, q) pairs, by row and
+then by p, that every interval-wise pass reads; a row's i-th start and
+i-th end bound its i-th interval.  The witness properties read flat passes
+over the pairs, all parked the same way: the extraction of
 :func:`~naplespf.characterize.find_witness` with its certificate re-check,
 the subset scan of :func:`~naplespf.characterize.enumerate_witnesses` over
 the 2^n car masks, and the process restricted to the cars preferring
 spots >= p.  Each such pass is made once per block and window, by
 :func:`_per_window`.  Permutation invariance is compared per multiset after
-the last block.
+the last block, against each multiset's longest interval.
 
 The scalar bodies of the same facts are the public ``check_*`` and
 ``verify_*`` functions of :mod:`naplespf.classify` and
@@ -127,22 +131,13 @@ class _Block:
         crit = self.u >= 1
         none = np.zeros_like(crit[:1])
         self.starts = crit & ~np.concatenate((none, crit[:-1]))
-        ends = crit & ~np.concatenate((crit[1:], none))
-        end_of = np.zeros((n, rows), np.int8)  # q of the run through position j
-        q = end_of[0].copy()
-        for j in range(n, 0, -1):
-            q = np.where(ends[j - 1], np.int8(j), q)
-            end_of[j - 1] = q
-        self.ends = ends
-        self.longest = np.where(self.starts, end_of - pos + 1, 0).max(0)
-        self.start_bits = 0  # bit p for each interval start p
-        for j, start in enumerate(self.starts, start=1):
-            self.start_bits = self.start_bits | start * np.int64(1 << j)
+        self.ends = crit & ~np.concatenate((crit[1:], none))
         self.complete = crit[1:].all(0) & (n >= 2)
         self.max_u = self.u.max(0)
-        # (row, maximal interval [p, q]) pairs, by p and then by row
-        start, self.iv_row = np.nonzero(self.starts)
-        self.iv_p, self.iv_q = start + 1, end_of[start, self.iv_row]
+        # (row, maximal interval [p, q]) pairs, by row and then by p: a row's
+        # i-th start and i-th end bound its i-th interval
+        self.iv_row, start = np.nonzero(self.starts.T)
+        self.iv_p, self.iv_q = start + 1, np.nonzero(self.ends.T)[1] + 1
         self.iv_prefs = prefs[:, self.iv_row]
         self._cache = {}
 
@@ -356,8 +351,8 @@ def _p_minus_1(b, k):
     occupied = 0
     for spot in b.spots(k):
         occupied |= np.left_shift(1, spot, dtype=np.int64)
-    filled = (b.start_bits >> 1) & ~occupied == 0  # spot p - 1 of every interval
-    return filled == b.parked(k)
+    empty = occupied[b.iv_row] >> (b.iv_p - 1) & 1 == 0  # spot p - 1 of a pair
+    return b.any_pair(empty) != b.parked(k)
 
 
 def _char_complete(b, k):
@@ -460,7 +455,8 @@ class _PermInvariance:
             list(itertools.combinations_with_replacement(range(1, n + 1), n)), np.int8
         ).T
         shape = _Block(self.classes)
-        self.longest = shape.longest
+        self.longest = np.zeros(shape.rows, np.int64)  # per class, 0 with none
+        np.maximum.at(self.longest, shape.iv_row, shape.iv_q - shape.iv_p + 1)
         self.index = np.zeros(1 << (2 * n - 1), np.int64)  # multiset key -> class
         self.index[self._keys(shape)] = np.arange(self.classes.shape[1])
         self.all_park = np.ones((len(ks), self.classes.shape[1]), bool)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from .classify import is_complete, is_k_naples
-from .core import ParkingPreference, excess, restrict_shift
+from .core import ParkingPreference, _as_int, excess, restrict_shift
 from .errors import (
     NotMaximalInterval,
     PreconditionFailed,
@@ -65,7 +65,7 @@ _Lookup = Callable[..., WitnessCertificate | None]
 def _require_maximal_interval(
     pref: ParkingPreference, interval: tuple[int, int]
 ) -> tuple[int, int]:
-    interval = (int(interval[0]), int(interval[1]))
+    interval = tuple(_as_int(v, "interval end", error=NotMaximalInterval) for v in interval)
     if interval not in excess(pref).intervals:
         raise NotMaximalInterval(
             f"{interval} is not a maximal critical interval of {pref}"
@@ -219,6 +219,7 @@ def verify_decomposition_lemma(pref: ParkingPreference, k: int, j: int) -> bool:
     do not.  The analogous claim for the lower part is false in general, and
     the cars of the upper part may still park below j in the original process.
     """
+    j = _as_int(j, "position")
     if not is_k_naples(pref, k):
         raise PreconditionFailed(f"{pref} does not park with window {k}")
     if not 1 <= j <= pref.n or excess(pref).u(j) != 0:
@@ -242,6 +243,7 @@ def restricted_spot_before_occupied(pref: ParkingPreference, k: int, p: int) -> 
     The restricted cars keep their original relative order and park on the
     full street under the same uniform rule.
     """
+    p = _as_int(p, "interval start")
     sub = [a for a in pref.prefs if a >= p]
     spots = park_cars(sub, k, pref.n)
     return (p - 1) in {s for s in spots if s is not None}

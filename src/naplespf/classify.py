@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import ParkingPreference, excess
+from .core import ParkingPreference, _as_int, excess
 from .errors import (
     NotComplete,
     NotNonincreasing,
@@ -176,7 +176,7 @@ def _equivalences(
 
 def cars_parked_before(pref: ParkingPreference, k: int, j: int) -> int:
     """Number of cars preferring a spot >= j that park strictly before j."""
-    return _parked_before(pref, park_uniform(pref, k), j)
+    return _parked_before(pref, park_uniform(pref, k), _as_int(j, "position"))
 
 
 def _parked_before(pref: ParkingPreference, outcome: ParkingOutcome, j: int) -> int:

@@ -223,10 +223,7 @@ def shift(pref: ParkingPreference, w: int) -> ParkingPreference:
 
 def _shifted(prefs: tuple[int, ...], w: int) -> ParkingPreference:
     """``prefs`` moved down by w, raising ShiftOutOfRange off the street."""
-    try:
-        w = operator.index(w)
-    except TypeError:
-        raise ShiftOutOfRange(f"shift must be an integer, got {w!r}") from None
+    w = _as_int(w, "shift", error=ShiftOutOfRange)
     if w < 0:
         raise ShiftOutOfRange(f"shift must be non-negative, got {w}")
     if w >= min(prefs):
@@ -234,8 +231,20 @@ def _shifted(prefs: tuple[int, ...], w: int) -> ParkingPreference:
     return ParkingPreference(tuple(a - w for a in prefs))
 
 
+def _as_int(value: int, what: str, least: int | None = None, error: type = ValueError) -> int:
+    """``value`` as an int; ``error`` naming ``what`` unless it is an integer
+    (numpy integers are, 2.0 is not) of at least ``least``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        raise error(f"need {what} >= {least}, got {value}")
+    return value
+
+
 def _as_index_set(indices: Iterable[int], n: int) -> tuple[int, ...]:
-    idx = sorted(int(i) for i in indices)
+    idx = sorted(_as_int(i, "car index") for i in indices)
     if not idx:
         raise EmptyIndexSet("restriction needs at least one car index")
     if idx[0] < 1 or idx[-1] > n:
@@ -292,7 +301,7 @@ def decompose_at(
     >>> lower.prefs, upper.prefs
     ((3, 2, 3), (1, 1))
     """
-    n = pref.n
+    n, j = pref.n, _as_int(j, "position")
     if not 1 <= j <= n:
         raise ValueError(f"position {j} outside 1..{n}")
     prof = excess(pref)

@@ -13,7 +13,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import ParkingPreference
+from .core import ParkingPreference, _as_int
 from .errors import InvalidPreference, LengthMismatch
 
 __all__ = [
@@ -74,10 +74,7 @@ ParkingTrace = tuple[CarStep, ...]
 def _check_window(k: int, least: int = 0) -> int:
     """The backward window k as an int; ``ValueError`` unless it is an
     integer of at least ``least``."""
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise ValueError(f"backward window must be an integer, got {k!r}") from None
+    k = _as_int(k, "backward window")
     if k < least:
         raise ValueError(f"backward window must be >= {least}, got {k}")
     return k
@@ -170,7 +167,7 @@ def park_with_trace(
 
 def park_uniform(pref: ParkingPreference, k: int) -> ParkingOutcome:
     """Parking process with the same backward window k for every car."""
-    return park(pref, int(k))
+    return park(pref, _check_window(k))
 
 
 def park_cars(
@@ -183,6 +180,7 @@ def park_cars(
     run on.  Raises :class:`InvalidPreference` for a preference off the
     street, and checks the windows as :func:`park` does.
     """
+    n_spots = _as_int(n_spots, "number of spots")
     if prefs and not 1 <= min(prefs) <= max(prefs) <= n_spots:
         raise InvalidPreference(f"preferences must lie in 1..{n_spots}")
     return _run(prefs, as_windows(windows, len(prefs)), n_spots)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from . import simulator
-from .core import PREDICATES, ParkingPreference
+from .core import PREDICATES, ParkingPreference, _as_int
 from .errors import SizeLimitExceeded, UnknownProperty, VerificationFailed
 from .simulator import park
 
@@ -100,12 +100,9 @@ def sweep(
     >>> sweep(3, 1).counts["k_naples"]
     24
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    n, k, shards = _as_int(n, "n", 1), _as_int(k, "k"), _as_int(shards, "shards", 1)
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}")
-    if shards < 1:
-        raise ValueError(f"need shards >= 1, got {shards}")
     names = PREDICATES if predicates is None else tuple(predicates)
     unknown = [name for name in names if name not in PREDICATES]
     if unknown:
@@ -141,10 +138,7 @@ def count_perm_invariant_fast(n: int, k: int, by_class: bool = False) -> int:
     >>> count_perm_invariant_fast(3, 1), count_perm_invariant_fast(3, 1, by_class=True)
     (23, 8)
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if k < 0:
-        raise ValueError(f"need k >= 0, got {k}")
+    n, k = _as_int(n, "n", 1), _as_int(k, "k", 0)
     ways = {(0, 0): 1}  # (seen, run) -> weighted count
     for j in range(1, n + 1):
         after: dict[tuple[int, int], int] = {}
@@ -301,13 +295,10 @@ def find_counterexample(
 
     Runs :func:`verify_sweep` for windows 0..k_max at each length in
     increasing order, so e.g. the deliberately false excess-bound property
-    yields (2,3,3) at n=3, k=1.  Raises ``ValueError`` when n_max < 1 or
-    k_max < 0, where there would be nothing to check.
+    yields (2,3,3) at n=3, k=1.  Raises ``ValueError`` for a non-integer, or
+    when n_max < 1 or k_max < 0, where there would be nothing to check.
     """
-    if n_max < 1:
-        raise ValueError(f"need n_max >= 1, got {n_max}")
-    if k_max < 0:
-        raise ValueError(f"need k_max >= 0, got {k_max}")
+    n_max, k_max = _as_int(n_max, "n_max", 1), _as_int(k_max, "k_max", 0)
     if property_name not in PROPERTIES:
         raise UnknownProperty(
             f"unknown property {property_name!r}; known: {sorted(PROPERTIES)}"
@@ -341,11 +332,10 @@ def verify_sweep(
     extracted witness whose certificate re-check fails raises
     :class:`~naplespf.errors.VerificationFailed` instead, with the
     :class:`Counterexample` (preference, n, k, property) being checked as its
-    ``counterexample``.  n below 1, or a window below 0 or not an integer,
-    raises ``ValueError``.
+    ``counterexample``.  n or a window that is not an integer, n below 1, or
+    a window below 0 raises ``ValueError``.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    n = _as_int(n, "n", 1)
     if ks is None:
         ks = range(1, n + 1)
     names = TRUE_PROPERTIES if properties is None else tuple(properties)
@@ -439,8 +429,7 @@ def find_monotone_window_violation(
     search reaches, not the first in odometer order.  Raises
     :class:`~naplespf.errors.SizeLimitExceeded` above n_max = 12.
     """
-    if n_max < 1:
-        raise ValueError(f"need n_max >= 1, got {n_max}")
+    n_max = _as_int(n_max, "n_max", 1)
     if n_max > MONOTONE_MAX_N:
         raise SizeLimitExceeded(
             f"n_max={n_max} above the monotone-window cap {MONOTONE_MAX_N}"

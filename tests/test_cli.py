@@ -615,9 +615,10 @@ _LAZY_MODULES = (
 # What counting loads: the sweeps, the kernels and numpy; never a thread pool.
 _COUNT_MODULES = ["numpy", "naplespf._kernels", _SWEEPS]
 
-# What a verification sweep loads: the sweeps, the engine, the parking step
-# it shares with counting, numpy, and the witness code the engine reuses
-# (characterize, which loads classify); never a thread pool.
+# What a verification sweep loads: the sweeps, the engine, the park table it
+# shares with counting, and numpy.  The engine reuses no witness code; it
+# imports only characterize's subset-search cap, and that import loads
+# characterize and with it classify.  Never a thread pool.
 _VERIFY_MODULES = (
     "numpy",
     "naplespf._kernels",

@@ -1,7 +1,9 @@
-"""The package namespace: every public name resolves on first access."""
+"""The package namespace: every public name resolves on first access, and
+every argument that must be an integer is checked as one."""
 
 import importlib
 
+import numpy as np
 import pytest
 
 import naplespf
@@ -78,3 +80,100 @@ def test_star_import_binds_exactly_all():
 def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         naplespf.no_such_name
+
+
+P = naplespf.ParkingPreference
+
+# A public call per argument that must be an integer, each with that argument
+# non-integral, and the error it raises: truncating 2.5 to 2, or a bare
+# TypeError from inside the library, would pass a wrong answer on silently.
+NON_INTEGRAL = {
+    "is_k_naples-k": (lambda: naplespf.is_k_naples(P((2, 3, 3)), 2.5), ValueError),
+    "park_uniform-k": (lambda: naplespf.park_uniform(P((2, 3, 3)), 1.9), ValueError),
+    "complete_naples_equivalences-k": (
+        lambda: naplespf.complete_naples_equivalences(P((2, 3, 3)), 1.5),
+        ValueError,
+    ),
+    "quantitative_bound-k": (lambda: naplespf.quantitative_bound(P((2, 3, 3)), 1.5), ValueError),
+    "cars_parked_before-k": (
+        lambda: naplespf.cars_parked_before(P((4, 4, 3, 2, 3)), 1.5, 4),
+        ValueError,
+    ),
+    "cars_parked_before-j": (
+        lambda: naplespf.cars_parked_before(P((4, 4, 3, 2, 3)), 1, 4.5),
+        ValueError,
+    ),
+    "restrict-index": (lambda: naplespf.restrict(P((2, 1)), [1.5]), ValueError),
+    "find_witness-interval": (
+        lambda: naplespf.find_witness(P((2, 3, 3)), 2, (2.5, 3)),
+        naplespf.NotMaximalInterval,
+    ),
+    "enumerate_witnesses-interval": (
+        lambda: list(naplespf.enumerate_witnesses(P((2, 3, 3)), 2, (2, 3.0))),
+        naplespf.NotMaximalInterval,
+    ),
+    "restricted_spot_before_occupied-p": (
+        lambda: naplespf.restricted_spot_before_occupied(P((2, 3, 3)), 1, 2.5),
+        ValueError,
+    ),
+    "park_cars-n_spots": (lambda: naplespf.park_cars([1, 2], 0, 2.5), ValueError),
+    "decompose_at-j": (lambda: naplespf.decompose_at(P((4, 4, 3, 2, 3)), 3.5), ValueError),
+    "verify_decomposition_lemma-j": (
+        lambda: naplespf.verify_decomposition_lemma(P((4, 4, 3, 2, 3)), 2, 4.0),
+        ValueError,
+    ),
+    "sweep-n": (lambda: naplespf.sweep(2.0, 1), ValueError),
+    "sweep-k": (lambda: naplespf.sweep(3, 1.5), ValueError),
+    "sweep-shards": (lambda: naplespf.sweep(3, 1, shards=1.5), ValueError),
+    "count_perm_invariant_fast-n": (lambda: naplespf.count_perm_invariant_fast(2.0, 1), ValueError),
+    "count_perm_invariant_fast-k": (lambda: naplespf.count_perm_invariant_fast(3, 1.5), ValueError),
+    "verify_sweep-n": (lambda: naplespf.verify_sweep(2.0), ValueError),
+    "find_counterexample-n_max": (
+        lambda: naplespf.find_counterexample(2.0, 1, "tail_lemma"),
+        ValueError,
+    ),
+    "find_counterexample-k_max": (
+        lambda: naplespf.find_counterexample(2, 1.0, "tail_lemma"),
+        ValueError,
+    ),
+    "find_monotone_window_violation-n_max": (
+        lambda: naplespf.find_monotone_window_violation(1.5),
+        ValueError,
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error", NON_INTEGRAL.values(), ids=list(NON_INTEGRAL))
+def test_non_integral_argument_raises(call, error):
+    with pytest.raises(error, match="integer"):
+        call()
+
+
+# The same calls with integral arguments, made by ``i``: numpy integers pass
+# wherever ints do, with the same answer.
+INTEGRAL = {
+    "is_k_naples": lambda i: naplespf.is_k_naples(P((2, 3, 3)), i(2)),
+    "cars_parked_before": lambda i: naplespf.cars_parked_before(P((4, 4, 3, 2, 3)), i(1), i(4)),
+    "restrict": lambda i: naplespf.restrict(P((2, 1)), [i(1)]),
+    "find_witness": lambda i: naplespf.find_witness(P((2, 3, 3)), i(2), (i(2), i(3))),
+    "restricted_spot_before_occupied": lambda i: naplespf.restricted_spot_before_occupied(
+        P((2, 3, 3)), i(1), i(2)
+    ),
+    "park_cars": lambda i: naplespf.park_cars([1, 2], i(0), i(2)),
+    "decompose_at": lambda i: naplespf.decompose_at(P((4, 4, 3, 2, 3)), i(4)),
+    "verify_decomposition_lemma": lambda i: naplespf.verify_decomposition_lemma(
+        P((4, 4, 3, 2, 3)), i(2), i(4)
+    ),
+    "sweep": lambda i: naplespf.sweep(i(3), i(1), shards=i(2)).counts,
+    "count_perm_invariant_fast": lambda i: naplespf.count_perm_invariant_fast(i(3), i(1)),
+    "verify_sweep": lambda i: naplespf.verify_sweep(i(3)),
+    "find_counterexample": lambda i: naplespf.find_counterexample(
+        i(3), i(1), "excess_bound_is_sufficient"
+    ),
+    "find_monotone_window_violation": lambda i: naplespf.find_monotone_window_violation(i(3)),
+}
+
+
+@pytest.mark.parametrize("call", INTEGRAL.values(), ids=list(INTEGRAL))
+def test_numpy_integer_arguments_pass(call):
+    assert call(np.int64) == call(int)

@@ -46,6 +46,15 @@ def scanned_witnesses(block, k):
     return scanned
 
 
+def sampled_block(n):
+    """200 fixed-seed rows past the exhaustive sizes: 100 uniform and 100
+    skewed to the top spots as n - floor(Exp(0.35))."""
+    rng = np.random.default_rng(n)
+    uniform = rng.integers(1, n + 1, (n, 100))
+    skewed = n - np.floor(rng.exponential(1 / 0.35, (n, 100)))
+    return _verify._Block(np.concatenate([uniform, skewed.clip(1, n)], 1).astype(np.int8))
+
+
 @pytest.fixture(scope="module", params=[1, 2, 3, 4, 5])
 def block_and_cases(request):
     return whole_block(request.param)
@@ -99,15 +108,29 @@ class TestMatchesScalarReference:
         for name in ("spots", "parked", "witnesses", "subsets", "before", "uppers_park"):
             assert getattr(block, name)(n) is getattr(block, name)(n - 1), name
 
+    @staticmethod
+    def assert_pairs_are_intervals(block):
+        # the engine pairs each row's i-th start with its i-th end; the
+        # scalar excess lists the same (row, p, q) triples
+        got = zip(block.iv_row.tolist(), block.iv_p.tolist(), block.iv_q.tolist())
+        want = [
+            (row, p, q)
+            for row, col in enumerate(block.prefs.T.tolist())
+            for p, q in excess(ParkingPreference(tuple(col))).intervals
+        ]
+        assert sorted(got) == sorted(want)
+
+    def test_pairs_are_the_scalar_intervals(self, block_and_cases):
+        self.assert_pairs_are_intervals(block_and_cases[0])
+
+    @pytest.mark.parametrize("n", [8, 10, 12])
+    def test_pairs_on_sampled_rows(self, n):
+        self.assert_pairs_are_intervals(sampled_block(n))
+
     @pytest.mark.parametrize("n", [7, 8, 9])
     def test_subset_scan_on_sampled_rows(self, n):
-        # past the exhaustive sizes: 100 uniform rows and 100 skewed to the
-        # top spots as n - floor(Exp(0.35)); from n = 9 on, a car mask
-        # needs more bits than an int8 holds
-        rng = np.random.default_rng(n)
-        uniform = rng.integers(1, n + 1, (n, 100))
-        skewed = n - np.floor(rng.exponential(1 / 0.35, (n, 100)))
-        block = _verify._Block(np.concatenate([uniform, skewed.clip(1, n)], 1).astype(np.int8))
+        # from n = 9 on, a car mask needs more bits than an int8 holds
+        block = sampled_block(n)
         for k in (1, 2, n - 1):
             scanned = scanned_witnesses(block, k)
             for e, (row, p, q) in enumerate(zip(block.iv_row, block.iv_p, block.iv_q)):
