@@ -13,6 +13,7 @@ verification sweep checks the extraction against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Iterable, Iterator
 
 from .classify import is_complete, is_k_naples
@@ -23,7 +24,7 @@ from .errors import (
     SizeLimitExceeded,
     VerificationFailed,
 )
-from .simulator import _check_window, park_cars
+from .simulator import _check_window, _run, park_cars
 
 __all__ = [
     "WitnessCertificate",
@@ -114,25 +115,33 @@ def find_witness(
     >>> find_witness(ParkingPreference((2, 3, 3)), 1, (2, 3)) is None
     True
     """
-    _check_window(k, 1)
+    k = _check_window(k, 1)
     p, q = _require_maximal_interval(pref, interval)
-    hat = [i for i in range(1, pref.n + 1) if pref.prefs[i - 1] >= p - 1]
-    beta = [pref.prefs[i - 1] - (p - 2) for i in hat]
-    spots = park_cars(beta, k, len(beta))
-    pref_at = {s: a for a, s in zip(beta, spots) if s is not None}
-    # Every beta is at most len(beta), so the walk cuts at len(beta) at the
-    # latest once every spot is filled.
+    hat, beta = [], []  # the cars preferring >= p-1, and their spots shifted down by p-2
+    for i, a in enumerate(pref.prefs, start=1):
+        if a >= p - 1:
+            hat.append(i)
+            beta.append(a - (p - 2))
+    m = len(beta)
+    spots = _run(beta, (k,) * m, m)
+    pref_at = [0] * (m + 1)  # the preference of the car at each spot, 0 if empty
+    for a, s in zip(beta, spots):
+        if s is not None:
+            pref_at[s] = a
+    # Every beta is at most m, so the walk cuts at m at the latest once
+    # every spot is filled.
     running_max = 0
-    for m_cut in range(1, len(beta) + 1):
-        if m_cut not in pref_at:
+    for m_cut in range(1, m + 1):
+        if not pref_at[m_cut]:
             return None
         running_max = max(running_max, pref_at[m_cut])
         if running_max <= m_cut:
             break
-    indices = tuple(
-        orig for orig, s in zip(hat, spots) if s is not None and s <= m_cut
-    )
-    cert = WitnessCertificate((p, q), indices, restrict_shift(pref, indices, p - 2))
+    chosen = [s is not None and s <= m_cut for s in spots]
+    indices = tuple(compress(hat, chosen))
+    # The chosen cars' beta, already shifted, is the shifted restriction;
+    # check_certificate rebuilds it from the indices on its own.
+    cert = WitnessCertificate((p, q), indices, ParkingPreference(tuple(compress(beta, chosen))))
     if not check_certificate(pref, k, cert):
         raise VerificationFailed(
             f"extracted witness {indices} for {(p, q)} of {pref} fails "

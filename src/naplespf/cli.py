@@ -10,7 +10,6 @@ errors into exit codes.  All machine-readable output validates against
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 import sys
@@ -142,7 +141,7 @@ def park(preference: str, windows: str, trace: bool, as_json: bool) -> None:
     if as_json:
         doc: dict = {"spot_of": list(outcome.spot_of), "all_parked": outcome.all_parked}
         if trace:
-            doc["trace"] = [dataclasses.asdict(st) for st in steps]
+            doc["trace"] = [st._asdict() for st in steps]
         click.echo(json.dumps(doc))
         return
     click.echo(f"outcome: {outcome.render()}")

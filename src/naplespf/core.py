@@ -198,13 +198,11 @@ def excess(pref: ParkingPreference) -> ExcessProfile:
 
 
 def _excess_profile(pref: ParkingPreference) -> ExcessProfile:
-    m = multiplicities(pref)
-    n = pref.n
-    values = []
-    tail = n  # number of cars preferring a spot >= j
-    for j in range(1, n + 1):
-        values.append(tail - (n - j + 1))
-        tail -= m[j - 1]
+    # u(1) = 0 and u(j+1) = u(j) + 1 - (cars preferring spot j)
+    u, values = 0, [0]
+    for m in multiplicities(pref)[:-1]:
+        u += 1 - m
+        values.append(u)
     vals = tuple(values)
     return ExcessProfile(vals, critical_intervals(vals))
 
@@ -244,7 +242,11 @@ def _as_int(value: int, what: str, least: int | None = None, error: type = Value
 
 
 def _as_index_set(indices: Iterable[int], n: int) -> tuple[int, ...]:
-    idx = sorted(_as_int(i, "car index") for i in indices)
+    idx = tuple(indices)
+    try:
+        idx = sorted(map(operator.index, idx))
+    except TypeError:  # names the first index that is not an integer
+        idx = sorted(_as_int(i, "car index") for i in idx)
     if not idx:
         raise EmptyIndexSet("restriction needs at least one car index")
     if idx[0] < 1 or idx[-1] > n:

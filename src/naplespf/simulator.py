@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import ParkingPreference, _as_int
 from .errors import InvalidPreference, LengthMismatch
@@ -51,14 +51,14 @@ class ParkingOutcome:
         return ",".join("X" if s is None else str(s) for s in self.spot_of)
 
 
-@dataclass(frozen=True)
-class CarStep:
+class CarStep(NamedTuple):
     """One car's turn: the spots it probed and where it ended up.
 
     ``backward_checks`` is the strictly decreasing run of spots probed behind
     the preference (at most the car's window, never below spot 1);
     ``forward_checks`` the increasing run probed after it.  Both are empty
-    when the preferred spot was free.
+    when the preferred spot was free.  A named tuple, so it is immutable and
+    ``_asdict()`` gives its fields in order.
     """
 
     car: int
@@ -69,6 +69,8 @@ class CarStep:
 
 
 ParkingTrace = tuple[CarStep, ...]
+
+_new_tuple = tuple.__new__
 
 
 def _check_window(k: int, least: int = 0) -> int:
@@ -81,16 +83,20 @@ def _check_window(k: int, least: int = 0) -> int:
 
 
 def as_windows(k: int | Sequence[int], n: int) -> tuple[int, ...]:
-    """Normalize a backward-window spec: a scalar means the uniform rule."""
+    """Normalize a backward-window spec: a scalar means the uniform rule.
+
+    Each window is checked here, once per park; :func:`_run` takes the
+    result as it is.
+    """
     try:
-        k = operator.index(k)
-    except TypeError:
-        if isinstance(k, Iterable):
-            win = tuple(map(_check_window, k))
-            if len(win) != n:
-                raise LengthMismatch(f"{len(win)} windows for {n} cars")
-            return win
-    return (_check_window(k),) * n
+        return (_check_window(k),) * n
+    except ValueError:
+        if not isinstance(k, Iterable):
+            raise
+    win = tuple(map(_check_window, k))
+    if len(win) != n:
+        raise LengthMismatch(f"{len(win)} windows for {n} cars")
+    return win
 
 
 def _step(occ: int, a: int, k: int, n_spots: int) -> int | None:
@@ -142,7 +148,10 @@ def park(pref: ParkingPreference, windows: int | Sequence[int]) -> ParkingOutcom
     >>> park(ParkingPreference((2, 3, 3)), 1).render()
     '2,3,X'
     """
-    win = as_windows(windows, pref.n)
+    return _outcome(pref, as_windows(windows, pref.n))
+
+
+def _outcome(pref: ParkingPreference, win: tuple[int, ...]) -> ParkingOutcome:
     return ParkingOutcome(tuple(_run(pref.prefs, win, pref.n)))
 
 
@@ -161,13 +170,14 @@ def park_with_trace(
         elif spot != a:
             back = tuple(range(a - 1, max(1, a - k) - 1, -1))
             fwd = tuple(range(a + 1, (spot or n) + 1))
-        steps.append(CarStep(car, a, back, fwd, spot))
+        # as CarStep._make builds it, without the length check
+        steps.append(_new_tuple(CarStep, (car, a, back, fwd, spot)))
     return ParkingOutcome(tuple(spots)), tuple(steps)
 
 
 def park_uniform(pref: ParkingPreference, k: int) -> ParkingOutcome:
     """Parking process with the same backward window k for every car."""
-    return park(pref, _check_window(k))
+    return _outcome(pref, (_check_window(k),) * pref.n)
 
 
 def park_cars(
@@ -177,10 +187,14 @@ def park_cars(
 
     Unlike :func:`park` the number of cars need not match the street length;
     this is what restricted processes (a subset of the cars, full street)
-    run on.  Raises :class:`InvalidPreference` for a preference off the
-    street, and checks the windows as :func:`park` does.
+    run on.  Raises :class:`InvalidPreference` for a preference that is not
+    an integer on the street, and checks the windows as :func:`park` does.
     """
     n_spots = _as_int(n_spots, "number of spots")
+    try:
+        prefs = tuple(map(operator.index, prefs))
+    except TypeError:
+        raise InvalidPreference(f"preferences must be integers: {prefs!r}") from None
     if prefs and not 1 <= min(prefs) <= max(prefs) <= n_spots:
         raise InvalidPreference(f"preferences must lie in 1..{n_spots}")
     return _run(prefs, as_windows(windows, len(prefs)), n_spots)

@@ -51,7 +51,11 @@ MONOTONE_MAX_N = 12  # n <= 12 take ~2 s together on one core; n = 13 alone ~4 s
 
 
 def iter_preferences(n: int) -> Iterator[tuple[int, ...]]:
-    """All preferences of length n in odometer order (last entry fastest)."""
+    """All preferences of length n in odometer order (last entry fastest).
+
+    ``ValueError`` unless n is an integer of at least 1.
+    """
+    n = _as_int(n, "n", 1)
     return itertools.product(range(1, n + 1), repeat=n)
 
 

@@ -2,7 +2,8 @@
 
 ``naive_park`` restates the parking rule as a single candidate list per car
 and is kept deliberately separate from the library implementation, so the
-two can vet each other; ``naive_count_k_naples`` and
+two can vet each other, and ``naive_probes`` reads each car's probed spots
+off the same list; ``naive_count_k_naples`` and
 ``naive_count_complete_k_naples`` count with the same candidate lists.
 ``loop_count_perm_invariant`` scans every multiset of preferences, the
 reference for the counting DP, and
@@ -66,6 +67,16 @@ def naive_candidates(a, k, n_spots):
         + [a - d for d in range(1, k + 1) if a - d >= 1]
         + list(range(a + 1, n_spots + 1))
     )
+
+
+def naive_probes(a, k, n_spots, spot):
+    """(backward, forward) spots a car probes after its preferred one: its
+    candidates up to the spot it takes, or all of them when it exits."""
+    tried = naive_candidates(a, k, n_spots)
+    if spot is not None:
+        tried = tried[: tried.index(spot) + 1]
+    probed = tried[1:]
+    return tuple(s for s in probed if s < a), tuple(s for s in probed if s > a)
 
 
 def naive_spot(taken, a, k, n_spots):

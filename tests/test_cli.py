@@ -46,10 +46,14 @@ class TestPark:
 
     def test_trace_lines(self, runner):
         result = runner.invoke(main, ["park", "-p", "3,4,4,4,3", "-k", "3", "--trace"])
-        lines = result.output.splitlines()
-        assert lines[0] == "outcome: 3,4,2,1,5"
-        assert lines[3] == "car 3: pref 4 back 3,2 fwd - -> 2"
-        assert lines[5] == "car 5: pref 3 back 2,1 fwd 4,5 -> 5"
+        assert result.output == (
+            "outcome: 3,4,2,1,5\n"
+            "car 1: pref 3 back - fwd - -> 3\n"
+            "car 2: pref 4 back - fwd - -> 4\n"
+            "car 3: pref 4 back 3,2 fwd - -> 2\n"
+            "car 4: pref 4 back 3,2,1 fwd - -> 1\n"
+            "car 5: pref 3 back 2,1 fwd 4,5 -> 5\n"
+        )
 
     def test_per_car_windows(self, runner):
         result = runner.invoke(main, ["park", "-p", "2,3,3", "-k", "0,0,2"])
@@ -64,6 +68,14 @@ class TestPark:
         assert doc["spot_of"] == [2, 3, None]
         assert doc["all_parked"] is False
         assert doc["trace"][2]["backward_checks"] == [2]
+        # each step's fields by name, in CarStep's field order
+        assert result.output == (
+            '{"spot_of": [2, 3, null], "all_parked": false, "trace": ['
+            '{"car": 1, "preferred": 2, "backward_checks": [], "forward_checks": [], "spot": 2}, '
+            '{"car": 2, "preferred": 3, "backward_checks": [], "forward_checks": [], "spot": 3}, '
+            '{"car": 3, "preferred": 3, "backward_checks": [2], "forward_checks": [], "spot": null}'
+            "]}\n"
+        )
 
     def test_bad_preference_exits_2(self, runner):
         result = runner.invoke(main, ["park", "-p", "1,zzz,3"])

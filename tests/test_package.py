@@ -117,6 +117,7 @@ NON_INTEGRAL = {
         ValueError,
     ),
     "park_cars-n_spots": (lambda: naplespf.park_cars([1, 2], 0, 2.5), ValueError),
+    "park_cars-prefs": (lambda: naplespf.park_cars([1.5, 2], 0, 2), naplespf.InvalidPreference),
     "decompose_at-j": (lambda: naplespf.decompose_at(P((4, 4, 3, 2, 3)), 3.5), ValueError),
     "verify_decomposition_lemma-j": (
         lambda: naplespf.verify_decomposition_lemma(P((4, 4, 3, 2, 3)), 2, 4.0),
@@ -128,6 +129,7 @@ NON_INTEGRAL = {
     "count_perm_invariant_fast-n": (lambda: naplespf.count_perm_invariant_fast(2.0, 1), ValueError),
     "count_perm_invariant_fast-k": (lambda: naplespf.count_perm_invariant_fast(3, 1.5), ValueError),
     "verify_sweep-n": (lambda: naplespf.verify_sweep(2.0), ValueError),
+    "iter_preferences-n": (lambda: naplespf.iter_preferences(2.0), ValueError),
     "find_counterexample-n_max": (
         lambda: naplespf.find_counterexample(2.0, 1, "tail_lemma"),
         ValueError,
@@ -159,7 +161,7 @@ INTEGRAL = {
     "restricted_spot_before_occupied": lambda i: naplespf.restricted_spot_before_occupied(
         P((2, 3, 3)), i(1), i(2)
     ),
-    "park_cars": lambda i: naplespf.park_cars([1, 2], i(0), i(2)),
+    "park_cars": lambda i: naplespf.park_cars([i(1), i(2)], i(0), i(2)),
     "decompose_at": lambda i: naplespf.decompose_at(P((4, 4, 3, 2, 3)), i(4)),
     "verify_decomposition_lemma": lambda i: naplespf.verify_decomposition_lemma(
         P((4, 4, 3, 2, 3)), i(2), i(4)
@@ -167,6 +169,7 @@ INTEGRAL = {
     "sweep": lambda i: naplespf.sweep(i(3), i(1), shards=i(2)).counts,
     "count_perm_invariant_fast": lambda i: naplespf.count_perm_invariant_fast(i(3), i(1)),
     "verify_sweep": lambda i: naplespf.verify_sweep(i(3)),
+    "iter_preferences": lambda i: list(naplespf.iter_preferences(i(2))),
     "find_counterexample": lambda i: naplespf.find_counterexample(
         i(3), i(1), "excess_bound_is_sufficient"
     ),

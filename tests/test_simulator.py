@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    naive_candidates,
     naive_park,
+    naive_probes,
     naive_spot,
     preferences,
     preferences_with_windows,
@@ -14,6 +14,7 @@ from helpers import (
 from naplespf import simulator
 from naplespf import (
     UNPARKED,
+    CarStep,
     InvalidPreference,
     LengthMismatch,
     ParkingPreference,
@@ -111,6 +112,13 @@ class TestWindows:
         assert park(pref, (0, 0, 2)).all_parked
 
 
+def assert_probes_match_oracle(trace, windows, n_spots):
+    """Each car probed exactly the candidates the naive rule tries."""
+    for st, k in zip(trace, windows):
+        back, fwd = naive_probes(st.preferred, k, n_spots, st.spot)
+        assert (st.backward_checks, st.forward_checks) == (back, fwd), (st, k)
+
+
 class TestTraces:
     def test_probe_lists(self):
         _out, trace = park_with_trace(ParkingPreference((3, 4, 4, 4, 3)), 3)
@@ -130,11 +138,37 @@ class TestTraces:
         assert last.forward_checks == ()
         assert last.spot is UNPARKED
 
+    def test_car_step_contract(self):
+        st = CarStep(3, 4, (3, 2), (), 2)
+        assert list(st._asdict().items()) == [
+            ("car", 3),
+            ("preferred", 4),
+            ("backward_checks", (3, 2)),
+            ("forward_checks", ()),
+            ("spot", 2),
+        ]
+        assert repr(st) == (
+            "CarStep(car=3, preferred=4, backward_checks=(3, 2), forward_checks=(), spot=2)"
+        )
+        with pytest.raises(AttributeError):
+            st.spot = 1
+        assert st.spot == 2
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_probes_match_naive_oracle_exhaustive(self, n):
+        # every preference under every uniform window 0..n
+        for tup in itertools.product(range(1, n + 1), repeat=n):
+            pref = ParkingPreference(tup)
+            for k in range(n + 1):
+                _out, trace = park_with_trace(pref, k)
+                assert_probes_match_oracle(trace, (k,) * n, n)
+
     @given(preferences_with_windows(max_n=6))
     @settings(max_examples=150)
     def test_trace_structure(self, case):
         pref, windows = case
         out, trace = park_with_trace(pref, windows)
+        assert_probes_match_oracle(trace, windows, pref.n)
         for st, k in zip(trace, windows):
             # backward: strictly decreasing run from preferred-1, within window
             expected_back = tuple(range(st.preferred - 1, st.preferred - 1 - len(st.backward_checks), -1))
@@ -166,13 +200,7 @@ class TestProcessInvariants:
             for windows in itertools.product(range(n + 2), repeat=n):
                 out, trace = park_with_trace(ParkingPreference(tup), windows)
                 assert list(out.spot_of) == naive_park(tup, windows), windows
-                for st, k in zip(trace, windows):
-                    tried = naive_candidates(st.preferred, k, n)
-                    if st.spot is not None:
-                        tried = tried[: tried.index(st.spot) + 1]
-                    a, probed = st.preferred, tried[1:]
-                    assert st.backward_checks == tuple(s for s in probed if s < a)
-                    assert st.forward_checks == tuple(s for s in probed if s > a)
+                assert_probes_match_oracle(trace, windows, n)
 
     @given(preferences())
     def test_uniform_matches_naive_oracle(self, pref):

@@ -283,6 +283,11 @@ class TestOdometer:
         assert seq[0] == (1, 1, 1)
         assert seq[-1] == (3, 3, 3)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_preferences_of_length_below_one(self, n):
+        with pytest.raises(ValueError, match=f"need n >= 1, got {n}"):
+            iter_preferences(n)
+
 
 class TestFalsification:
     def test_true_property_has_no_counterexample(self):
