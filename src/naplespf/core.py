@@ -242,11 +242,10 @@ def _as_int(value: int, what: str, least: int | None = None, error: type = Value
 
 
 def _as_index_set(indices: Iterable[int], n: int) -> tuple[int, ...]:
-    idx = tuple(indices)
     try:
-        idx = sorted(map(operator.index, idx))
-    except TypeError:  # names the first index that is not an integer
-        idx = sorted(_as_int(i, "car index") for i in idx)
+        idx = sorted(map(operator.index, indices))
+    except TypeError:
+        raise ValueError(f"car indices must be integers, got {indices!r}") from None
     if not idx:
         raise EmptyIndexSet("restriction needs at least one car index")
     if idx[0] < 1 or idx[-1] > n:

@@ -70,8 +70,6 @@ class CarStep(NamedTuple):
 
 ParkingTrace = tuple[CarStep, ...]
 
-_new_tuple = tuple.__new__
-
 
 def _check_window(k: int, least: int = 0) -> int:
     """The backward window k as an int; ``ValueError`` unless it is an
@@ -148,11 +146,7 @@ def park(pref: ParkingPreference, windows: int | Sequence[int]) -> ParkingOutcom
     >>> park(ParkingPreference((2, 3, 3)), 1).render()
     '2,3,X'
     """
-    return _outcome(pref, as_windows(windows, pref.n))
-
-
-def _outcome(pref: ParkingPreference, win: tuple[int, ...]) -> ParkingOutcome:
-    return ParkingOutcome(tuple(_run(pref.prefs, win, pref.n)))
+    return ParkingOutcome(tuple(_run(pref.prefs, as_windows(windows, pref.n), pref.n)))
 
 
 def park_with_trace(
@@ -170,14 +164,13 @@ def park_with_trace(
         elif spot != a:
             back = tuple(range(a - 1, max(1, a - k) - 1, -1))
             fwd = tuple(range(a + 1, (spot or n) + 1))
-        # as CarStep._make builds it, without the length check
-        steps.append(_new_tuple(CarStep, (car, a, back, fwd, spot)))
+        steps.append(CarStep(car, a, back, fwd, spot))
     return ParkingOutcome(tuple(spots)), tuple(steps)
 
 
 def park_uniform(pref: ParkingPreference, k: int) -> ParkingOutcome:
     """Parking process with the same backward window k for every car."""
-    return _outcome(pref, (_check_window(k),) * pref.n)
+    return ParkingOutcome(tuple(_run(pref.prefs, (_check_window(k),) * pref.n, pref.n)))
 
 
 def park_cars(
